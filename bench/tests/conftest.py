@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+# the harness package and the program it measures
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
