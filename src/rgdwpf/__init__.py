@@ -4,79 +4,14 @@ Exact-rational and float kernels for the permanent and determinant routes
 to the partition function, the log-derivative hierarchy they contract
 against, solvers for the quadratic and rapidity Bethe equations, and
 executable verification of the residue/limit proof obligations.
+
+The package namespace carries the names of the README's library example;
+everything else is imported from its submodule (``rgdwpf.partition``,
+``rgdwpf.checks``, ``rgdwpf.gamma``, ``rgdwpf.linalg``, ``rgdwpf.bethe``,
+``rgdwpf.errors``).
 """
 
-from .bethe import (
-    CouplingModel,
-    LambdaVars,
-    RapidityState,
-    dual_transform,
-    lambdas_from_rapidities,
-    quad_jacobian,
-    quad_residuals,
-    richardson_residuals,
-    solve_quadratic_bethe,
-    solve_richardson,
-)
-from .checks import (
-    CheckReport,
-    borchardt_sweep,
-    boson_sweep,
-    check_infinity_limit,
-    check_residue_eps1,
-    check_residue_epsj,
-    identity_sweep,
-    limit_sweep,
-    pole_residues,
-    residue_probe_gaps,
-    residue_sweep,
-)
-from .errors import (
-    CardinalityMismatch,
-    CostGuard,
-    DegenerateEpsilons,
-    DimensionTooLarge,
-    InsufficientDerivatives,
-    NoConvergence,
-    NonFiniteEntry,
-    PoleAtEvaluationPoint,
-    RGError,
-)
-from .gamma import (
-    GammaTable,
-    LambdaDerivTable,
-    build_gamma_table,
-    gamma_explicit,
-    gamma_partition_coefficient,
-    gamma_recursive,
-    lambda_derivatives,
-)
-from .linalg import (
-    Scalar,
-    SquareMatrix,
-    determinant,
-    is_exact,
-    permanent,
-    permanent_naive,
-    values_agree,
-)
-from .partition import (
-    BorchardtResult,
-    BosonSumResult,
-    PartitionValue,
-    SpinSystem,
-    StructureCoefficients,
-    borchardt_check,
-    boson_sum_determinant,
-    build_J_higher,
-    build_J_limit,
-    build_J_spin_half,
-    cauchy_matrix,
-    multisets_with_repetition,
-    random_instance,
-    structure_coefficients,
-    z_determinant,
-    z_permanent,
-)
+from .checks import identity_sweep
+from .partition import SpinSystem, z_determinant, z_permanent
 
 __version__ = "0.1.0"

@@ -13,14 +13,16 @@ how one proves equality of rational functions with only simple poles:
 
 Residues are extracted exactly by partial fractions: as a function of its
 last rapidity, Z is a sum of simple poles at the inhomogeneities with no
-polynomial part, so N exact samples determine all residues through one
-linear solve.  A shrinking-offset probe independently confirms the
-first-order approach to the same residue.
+polynomial part, so N exact samples determine all residues in closed form
+(Lagrange interpolation of the numerator over the common denominator).  A
+shrinking-offset probe independently confirms the first-order approach to
+the same residue.
 """
 
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
 
 from .errors import CardinalityMismatch
 from .linalg import Scalar, determinant, is_exact, values_agree
@@ -30,6 +32,7 @@ from .partition import (
     boson_sum_determinant,
     build_J_limit,
     random_instance,
+    random_rapidities,
     z_determinant,
     z_permanent,
 )
@@ -61,36 +64,14 @@ def _mode_of(values) -> str:
     return "exact" if all(is_exact(v) for v in values) else "f64"
 
 
-def _solve_linear(rows, rhs):
-    """Gaussian elimination on small dense systems; exact when inputs are."""
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    exact = all(is_exact(x) for row in a for x in row)
-    for k in range(n):
-        if exact:
-            pivot_row = next(r for r in range(k, n) if a[r][k] != 0)
-        else:
-            pivot_row = max(range(k, n), key=lambda r: abs(a[r][k]))
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        for r in range(k + 1, n):
-            factor = a[r][k] / pivot
-            for c in range(k, n + 1):
-                a[r][c] -= factor * a[k][c]
-    x = [0] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n] - sum(a[k][c] * x[c] for c in range(k + 1, n))
-        x[k] = acc / a[k][k]
-    return x
-
-
 def pole_residues(system: SpinSystem, nu_prefix) -> list:
     """Residues of Z at every inhomogeneity, as a function of one extra rapidity.
 
     With the prefix rapidities held fixed, x -> Z(prefix + [x]) equals
-    sum_j R_j / (x - eps_j); sampling at N points beyond the largest
-    inhomogeneity and solving the resulting Cauchy system yields every
-    R_j exactly in exact mode.
+    sum_j R_j / (x - eps_j), so Z(x) B(x) = P(x) with B = prod_j (x - eps_j)
+    and deg P < N.  Sampling Z at N points beyond the largest
+    inhomogeneity fixes P by Lagrange interpolation, and
+    R_j = P(eps_j) / B'(eps_j): exact in exact mode, with no elimination.
     """
     nu_prefix = tuple(nu_prefix)
     if len(nu_prefix) != system.omega - 1:
@@ -99,9 +80,14 @@ def pole_residues(system: SpinSystem, nu_prefix) -> list:
     eps = system.epsilons
     top = max(eps)
     xs = [top + 1 + k for k in range(system.n)]
-    rows = [[1 / (x - e) for e in eps] for x in xs]
-    rhs = [z_determinant(system, nu_prefix + (x,)).value for x in xs]
-    return _solve_linear(rows, rhs)
+    # P at each node, divided by that node's Lagrange denominator
+    weights = [z_determinant(system, nu_prefix + (x,)).value * prod(x - e for e in eps)
+               / prod(x - y for y in xs if y != x) for x in xs]
+    residues = []
+    for e in eps:
+        p_at_e = sum(w * prod(e - y for y in xs if y != x) for x, w in zip(xs, weights))
+        residues.append(p_at_e / prod(e - f for f in eps if f != e))
+    return residues
 
 
 def _residue_target(system: SpinSystem, nu_prefix, pole_spin: int):
@@ -267,12 +253,8 @@ def boson_sweep(shapes, trials: int = 10, seed: int = 0) -> list:
     for n, extra in shapes:
         for trial in range(trials):
             eps = tuple(Fraction(i) for i in range(n))
-            nu = []
-            while len(nu) < n + extra:
-                x = Fraction(rng.randint(-999, 999), rng.randint(1, 64))
-                if x not in eps:
-                    nu.append(x)
-            result = boson_sum_determinant(tuple(nu), eps)
+            nu = random_rapidities(n + extra, eps, rng)
+            result = boson_sum_determinant(nu, eps)
             reports.append(CheckReport(
                 check="boson", two_s=1, n=n, trial=trial,
                 left=result.sum_of_permanents, right=result.det_j_tilde,

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import bethe, checks, gamma, partition
 from .errors import NoConvergence, NonFiniteEntry, RGError
+from .linalg import values_agree
 
 SCHEMA = "rg-dwpf/1"
 
@@ -168,7 +169,6 @@ def _cmd_pf(args) -> tuple:
         doc["value"] = _scalar_json(zd)
         doc["method"] = "determinant"
     else:
-        from .linalg import values_agree
         equal = values_agree(zp, zd, args.mode == "exact")
         doc.update(permanent=_scalar_json(zp), determinant=_scalar_json(zd), equal=equal)
         if not equal:

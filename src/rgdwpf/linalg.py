@@ -17,7 +17,6 @@ partially pivoted Gaussian elimination.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import isfinite, lcm
 
 from .errors import DimensionTooLarge, NonFiniteEntry
@@ -26,8 +25,6 @@ Scalar = Fraction | int | float | complex
 
 #: Ryser refuses above this dimension (2^20 subsets is already ~1e6).
 RYSER_MAX_DIM = 20
-#: The permutation-sum oracle refuses above this dimension (8! = 40320).
-NAIVE_MAX_DIM = 8
 
 
 def is_exact(x) -> bool:
@@ -92,17 +89,9 @@ class SquareMatrix:
                 and self.exact == other.exact
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.exact, self.entries))
-
     def __repr__(self):
         kind = "exact" if self.exact else "float"
         return f"SquareMatrix(dim={self.dim}, {kind})"
-
-    def with_swapped_rows(self, i: int, j: int) -> "SquareMatrix":
-        rows = list(self.entries)
-        rows[i], rows[j] = rows[j], rows[i]
-        return SquareMatrix(rows)
 
 
 def _require_finite(m: SquareMatrix):
@@ -165,23 +154,6 @@ def _ryser(rows, zero):
             total -= prod
         else:
             total += prod
-    return total
-
-
-def permanent_naive(m: SquareMatrix) -> Scalar:
-    """Permanent as the literal sum over all permutations (cross-check oracle)."""
-    n = m.dim
-    if n > NAIVE_MAX_DIM:
-        raise DimensionTooLarge(f"naive permanent of dim {n} > {NAIVE_MAX_DIM} refused")
-    if not m.exact:
-        _require_finite(m)
-    e = m.entries
-    total = Fraction(0) if m.exact else 0.0
-    for sigma in permutations(range(n)):
-        prod = e[0][sigma[0]]
-        for i in range(1, n):
-            prod *= e[i][sigma[i]]
-        total += prod
     return total
 
 

@@ -12,7 +12,9 @@ routes:
   exponential cost, guarded at Omega <= 14;
 * the determinant route: an N x N matrix contracted from structure
   coefficients (multiset sums over the inhomogeneities) and the
-  log-derivative hierarchy of the rapidity polynomial; polynomial cost.
+  log-derivative hierarchy of the rapidity polynomial; polynomial in N
+  (the structure coefficients still enumerate multisets, so the cost
+  grows exponentially in two_s).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
 rationals.  Supporting identities for the pure spin-1/2 case (Borchardt's
@@ -215,14 +217,15 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
 
 
 def build_J_spin_half(eps, nu) -> SquareMatrix:
-    """N x N determinant matrix for a pure spin-1/2 system.
+    """N x N determinant matrix for a pure spin-1/2 system with M >= N rapidities.
 
-    Its determinant equals the permanent of the Cauchy matrix for
-    arbitrary rapidities.
+    Its determinant equals the sum of the Cauchy permanents over all
+    N-subsets of the rapidities; for M = N that is the plain permanent of
+    the Cauchy matrix, for arbitrary rapidities.
     """
     eps = tuple(canonical(e) for e in eps)
     nu = tuple(canonical(v) for v in nu)
-    if len(eps) != len(nu):
+    if len(nu) < len(eps):
         raise CardinalityMismatch(f"{len(nu)} rapidities vs {len(eps)} inhomogeneities")
     if len(set(eps)) != len(eps):
         raise DegenerateEpsilons("inhomogeneities must be pairwise distinct")
@@ -285,27 +288,18 @@ def build_J_higher(system: SpinSystem, gamma: GammaTable) -> SquareMatrix:
 def build_J_limit(system: SpinSystem) -> SquareMatrix:
     """Rapidity-independent limit of the determinant matrix (all rapidities large).
 
-    Only the order-0 hierarchy terms survive; the determinant of this
-    matrix vanishes identically, which is what forces the partition
-    function to zero in the limit.
+    As every rapidity grows, G_0 stays -1 while every other hierarchy
+    value tends to 0, so this is :func:`build_J_higher` on that limit
+    table.  Its determinant vanishes identically, which is what forces the
+    partition function to zero in the limit.
     """
-    n = system.n
-    fact = factorial(system.two_s)
-    coeffs = structure_coefficients(system)
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = fact * coeffs.c11[0]
-    for j in range(2, n + 1):
-        rows[0][j - 1] = fact * coeffs.c1j[j][0] if system.two_s else 0
-    for i in range(2, n + 1):
-        rows[i - 1][i - 1] = coeffs.c0_diag[i]
-        for j in range(1, n + 1):
-            if j != i:
-                rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]
-    return SquareMatrix(rows)
+    limit = GammaTable(system=system, gammas_at_eps1=(-1,) + (0,) * system.two_s,
+                       gamma1_at_others=dict.fromkeys(range(2, system.n + 1), 0))
+    return build_J_higher(system, limit)
 
 
 def z_determinant(system: SpinSystem, nu) -> PartitionValue:
-    """Partition function via the N x N determinant; polynomial cost.
+    """Partition function via the N x N determinant; polynomial in N.
 
     Builds the hierarchy table, assembles the matrix and evaluates its
     determinant.  No size guard: this is the route that stays cheap when
@@ -347,55 +341,41 @@ class BosonSumResult:
 def boson_sum_determinant(nu, eps) -> BosonSumResult:
     """Sum of Cauchy permanents over all N-subsets of an oversized rapidity set.
 
-    The N x N comparison matrix keeps the spin-1/2 structure but its
-    diagonal subtracts the simple-pole sum over the whole rapidity set.
+    The right-hand side is the determinant of :func:`build_J_spin_half`
+    on the whole rapidity set.
     """
-    nu = tuple(canonical(v) for v in nu)
-    eps = tuple(canonical(e) for e in eps)
-    n = len(eps)
-    if len(nu) < n:
-        raise CardinalityMismatch("need at least as many rapidities as inhomogeneities")
+    nu, eps = tuple(nu), tuple(eps)
+    j_tilde = build_J_spin_half(eps, nu)
     if len(nu) > BOSON_MAX_RAPIDITIES:
         raise CostGuard(
             f"subset sum refused for {len(nu)} > {BOSON_MAX_RAPIDITIES} rapidities")
-    if len(set(eps)) != len(eps):
-        raise DegenerateEpsilons("inhomogeneities must be pairwise distinct")
-    _check_no_poles(nu, eps)
-
-    lhs = 0
-    for subset in combinations(nu, n):
-        lhs += permanent(cauchy_matrix(subset, eps))
-
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                diag = sum(1 / (eps[i] - eps[k]) for k in range(n) if k != i)
-                diag -= sum(1 / (eps[i] - v) for v in nu)
-                row.append(diag)
-            else:
-                row.append(1 / (eps[i] - eps[j]))
-        rows.append(row)
-    j_tilde = SquareMatrix(rows)
+    lhs = sum(permanent(cauchy_matrix(subset, eps)) for subset in combinations(nu, len(eps)))
     rhs = determinant(j_tilde)
     return BosonSumResult(sum_of_permanents=lhs, det_j_tilde=rhs,
                           holds=values_agree(lhs, rhs, j_tilde.exact))
 
 
-def random_instance(two_s: int, n: int, rng) -> tuple[SpinSystem, tuple]:
-    """Well-separated random exact instance for identity sweeps.
+def random_rapidities(count: int, eps, rng) -> tuple:
+    """``count`` random rationals p/q with p in [-999, 999] and q in [1, 64].
 
-    Inhomogeneities are the integers 0..n-1; rapidities are rationals p/q
-    with p in [-999, 999], q in [1, 64], redrawn on collision with an
-    inhomogeneity.  Exactly representable, so exact and float runs see the
-    same instance.
+    A draw that lands on an inhomogeneity in ``eps`` is redrawn; repeats
+    among the rapidities themselves are kept.
     """
-    eps = tuple(Fraction(i) for i in range(n))
-    system = SpinSystem(two_s=two_s, epsilons=eps)
     nu = []
-    while len(nu) < system.omega:
+    while len(nu) < count:
         x = Fraction(rng.randint(-999, 999), rng.randint(1, 64))
         if x not in eps:
             nu.append(x)
-    return system, tuple(nu)
+    return tuple(nu)
+
+
+def random_instance(two_s: int, n: int, rng) -> tuple[SpinSystem, tuple]:
+    """Well-separated random exact instance for identity sweeps.
+
+    Inhomogeneities are the integers 0..n-1; rapidities come from
+    :func:`random_rapidities`.  Exactly representable, so exact and float
+    runs see the same instance.
+    """
+    eps = tuple(Fraction(i) for i in range(n))
+    system = SpinSystem(two_s=two_s, epsilons=eps)
+    return system, random_rapidities(system.omega, eps, rng)

@@ -35,11 +35,12 @@ class TestPoleResidues:
         assert res[0] == 1 / (nu1 - 1)
 
     def test_residues_reconstruct_z(self):
-        system, prefix = prefix_instance(2, 3, 61)
-        res = pole_residues(system, prefix)
-        probe = Fraction(17, 3)
-        direct = z_determinant(system, prefix + (probe,)).value
-        assert direct == sum(r / (probe - e) for r, e in zip(res, system.epsilons))
+        for two_s, n in [(2, 3), (1, 5), (4, 2)]:
+            system, prefix = prefix_instance(two_s, n, 61)
+            res = pole_residues(system, prefix)
+            probe = Fraction(17, 3)
+            direct = z_determinant(system, prefix + (probe,)).value
+            assert direct == sum(r / (probe - e) for r, e in zip(res, system.epsilons))
 
 
 class TestResidueEps1:

@@ -9,7 +9,6 @@ from rgdwpf.linalg import (
     SquareMatrix,
     determinant,
     permanent,
-    permanent_naive,
     values_agree,
 )
 
@@ -53,22 +52,15 @@ class TestPermanent:
             rows = rand_matrix(rng, 6)
             assert permanent(SquareMatrix(rows)) == perm_by_permutation_sum(rows)
 
-    def test_naive_matches_oracle(self):
-        rng = random.Random(102)
-        rows = rand_matrix(rng, 5)
-        assert permanent_naive(SquareMatrix(rows)) == perm_by_permutation_sum(rows)
-
     def test_row_swap_invariance(self):
         rng = random.Random(103)
         rows = rand_matrix(rng, 5)
-        m = SquareMatrix(rows)
-        assert permanent(m) == permanent(m.with_swapped_rows(0, 3))
+        swapped = [rows[3], rows[1], rows[2], rows[0], rows[4]]
+        assert permanent(SquareMatrix(rows)) == permanent(SquareMatrix(swapped))
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
             permanent(SquareMatrix([[1] * 21 for _ in range(21)]))
-        with pytest.raises(DimensionTooLarge):
-            permanent_naive(SquareMatrix([[1] * 9 for _ in range(9)]))
 
     def test_float_mode_agrees_with_exact(self):
         rng = random.Random(104)
@@ -107,8 +99,8 @@ class TestDeterminant:
     def test_alternating_under_row_swap(self):
         rng = random.Random(107)
         rows = rand_matrix(rng, 6)
-        m = SquareMatrix(rows)
-        assert determinant(m.with_swapped_rows(1, 4)) == -determinant(m)
+        swapped = [rows[0], rows[4], rows[2], rows[3], rows[1], rows[5]]
+        assert determinant(SquareMatrix(swapped)) == -determinant(SquareMatrix(rows))
 
     def test_result_independent_of_row_order(self):
         # a full reversal of 6 rows is an even permutation only for some n;

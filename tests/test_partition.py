@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -28,7 +28,11 @@ from rgdwpf.partition import (
     z_permanent,
 )
 
-from oracles import rand_distinct_fractions, spin_three_half_worked_coefficients
+from oracles import (
+    perm_by_permutation_sum,
+    rand_distinct_fractions,
+    spin_three_half_worked_coefficients,
+)
 
 
 def repeated_column_permanent(system, nu):
@@ -153,6 +157,20 @@ class TestSpinHalfMatrix:
             j = build_J_spin_half(system.epsilons, nu)
             assert determinant(j) == permanent(cauchy_matrix(nu, system.epsilons))
 
+    def test_oversized_rapidity_set_sums_subset_permanents(self):
+        rng = random.Random(48)
+        for n, m in [(1, 3), (2, 4), (3, 5), (4, 5)]:
+            eps = rand_distinct_fractions(rng, n)
+            nu = rand_distinct_fractions(rng, m, avoid=eps)
+            cauchy_rows = [[1 / (v - e) for e in eps] for v in nu]
+            expected = sum(perm_by_permutation_sum(rows)
+                           for rows in combinations(cauchy_rows, n))
+            assert determinant(build_J_spin_half(eps, nu)) == expected
+
+    def test_too_few_rapidities_rejected(self):
+        with pytest.raises(CardinalityMismatch):
+            build_J_spin_half((0, 1, 2), (5, 6))
+
 
 class TestHigherSpinMatrix:
     def test_reduces_to_spin_half(self):
@@ -218,6 +236,18 @@ class TestLimitMatrix:
         for i in range(3):
             folded = sum(j.entries[i])
             assert folded == (1 - system.two_s) * j.entries[i][0]
+
+    def test_is_limit_of_scaled_rapidity_matrix(self):
+        rng = random.Random(49)
+        for two_s, n in [(1, 3), (2, 2), (3, 3), (0, 3)]:
+            system, nu = random_instance(two_s, n, rng)
+            limit = build_J_limit(system)
+            gaps = []
+            for t in (10 ** 3, 10 ** 6):
+                scaled = build_J_higher(system, build_gamma_table(system, [v * t for v in nu]))
+                gaps.append(max(abs(a - b) for ra, rb in zip(scaled.entries, limit.entries)
+                                for a, b in zip(ra, rb)))
+            assert gaps[1] * 100 <= gaps[0]
 
 
 class TestZDeterminant:
