@@ -115,6 +115,39 @@ def residue_probe_gaps(system: SpinSystem, nu_prefix, pole_spin: int = 1,
     return gaps
 
 
+def _residue_reports(system: SpinSystem, nu_prefix, poles) -> list:
+    """Residue checks at the given 1-based poles from one partial-fraction solve."""
+    if 1 in poles and system.two_s < 1:
+        raise CardinalityMismatch("first spin must carry at least two_s = 1")
+    if max(poles) > 1 and system.n < 3 and not (system.n == 2 and system.two_s == 1):
+        raise CardinalityMismatch(
+            "removing the spin would leave an unsupported single higher spin")
+    nu_prefix = tuple(nu_prefix)
+    residues = pole_residues(system, nu_prefix)
+    mode = _mode_of(nu_prefix + system.epsilons)
+    reports = []
+    for j in poles:
+        residue = residues[j - 1]
+        target = _residue_target(system, nu_prefix, j)
+        holds = values_agree(residue, target, mode == "exact")
+        if j == 1:
+            gaps = residue_probe_gaps(system, nu_prefix, 1)
+            # net decrease over the probe range, not stepwise: the subleading
+            # correction can cross zero between two fixed offsets, dipping the
+            # middle gap below the last one even though the residue is exact
+            approaching = gaps[-1] < gaps[0]
+            reports.append(CheckReport(
+                check="residue_eps1", two_s=system.two_s, n=system.n, trial=0,
+                left=residue, right=target, holds=holds and approaching, mode=mode,
+                detail=f"probe gaps {[float(g) for g in gaps]}"))
+        else:
+            reports.append(CheckReport(
+                check="residue_epsj", two_s=system.two_s, n=system.n, trial=j,
+                left=residue, right=target, holds=holds, mode=mode,
+                detail=f"pole at spin {j}"))
+    return reports
+
+
 def check_residue_eps1(system: SpinSystem, nu_prefix) -> CheckReport:
     """Residue at the large-spin inhomogeneity vs the spin-lowered system.
 
@@ -122,21 +155,7 @@ def check_residue_eps1(system: SpinSystem, nu_prefix) -> CheckReport:
     partition function with the first spin lowered by 1/2 and the probe
     gaps must shrink as the offset does.
     """
-    if system.two_s < 1:
-        raise CardinalityMismatch("first spin must carry at least two_s = 1")
-    nu_prefix = tuple(nu_prefix)
-    residue = pole_residues(system, nu_prefix)[0]
-    target = _residue_target(system, nu_prefix, 1)
-    mode = _mode_of(nu_prefix + system.epsilons)
-    gaps = residue_probe_gaps(system, nu_prefix, 1)
-    # net decrease over the probe range, not stepwise: the subleading
-    # correction can cross zero between two fixed offsets, dipping the
-    # middle gap below the last one even though the residue is exact
-    approaching = gaps[-1] < gaps[0]
-    holds = values_agree(residue, target, mode == "exact") and approaching
-    return CheckReport(check="residue_eps1", two_s=system.two_s, n=system.n, trial=0,
-                       left=residue, right=target, holds=holds, mode=mode,
-                       detail=f"probe gaps {[float(g) for g in gaps]}")
+    return _residue_reports(system, nu_prefix, [1])[0]
 
 
 def check_residue_epsj(system: SpinSystem, nu_prefix, j: int) -> CheckReport:
@@ -149,17 +168,7 @@ def check_residue_epsj(system: SpinSystem, nu_prefix, j: int) -> CheckReport:
     """
     if not 2 <= j <= system.n:
         raise CardinalityMismatch(f"spin index {j} outside 2..{system.n}")
-    if system.n < 3 and not (system.n == 2 and system.two_s == 1):
-        raise CardinalityMismatch(
-            "removing the spin would leave an unsupported single higher spin")
-    nu_prefix = tuple(nu_prefix)
-    residue = pole_residues(system, nu_prefix)[j - 1]
-    target = _residue_target(system, nu_prefix, j)
-    mode = _mode_of(nu_prefix + system.epsilons)
-    holds = values_agree(residue, target, mode == "exact")
-    return CheckReport(check="residue_epsj", two_s=system.two_s, n=system.n, trial=j,
-                       left=residue, right=target, holds=holds, mode=mode,
-                       detail=f"pole at spin {j}")
+    return _residue_reports(system, nu_prefix, [j])[0]
 
 
 def check_infinity_limit(system: SpinSystem, nu, scales=(10 ** 3, 10 ** 6)) -> CheckReport:
@@ -210,13 +219,11 @@ def residue_sweep(grid, trials: int = 5, seed: int = 0) -> list:
     for two_s, n in grid:
         for trial in range(trials):
             system, nu = random_instance(two_s, n, rng)
-            prefix = nu[:-1]
-            rep = check_residue_eps1(system, prefix)
-            reports.append(replace(rep, trial=trial))
+            poles = [1]
             if n >= 3 or (n == 2 and two_s == 1):
-                for j in range(2, n + 1):
-                    rep = check_residue_epsj(system, prefix, j)
-                    reports.append(replace(rep, trial=trial))
+                poles += range(2, n + 1)
+            reports += [replace(rep, trial=trial)
+                        for rep in _residue_reports(system, nu[:-1], poles)]
     return reports
 
 

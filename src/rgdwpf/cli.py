@@ -14,6 +14,7 @@ usage error, 2 check failure, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -68,6 +69,25 @@ def _parse_csv(text: str, mode: str) -> tuple:
     return tuple(_parse_scalar(s, mode) for s in items)
 
 
+def _checked(convert, accept, requirement: str):
+    """An argparse type: ``convert`` the text, then refuse values failing ``accept``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_TWO_S = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+_TRIALS = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_COUPLING = _checked(float, lambda g: g != 0 and math.isfinite(g),
+                     "must be a finite nonzero number")
+
+
 def _parse_occupation(text: str) -> tuple:
     digits = text.replace(",", "").strip()
     if not digits or any(c not in "01" for c in digits):
@@ -110,7 +130,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pf = sub.add_parser("pf", help="compute the partition function")
-    pf.add_argument("--two-s", type=int, required=True)
+    pf.add_argument("--two-s", type=_TWO_S, required=True)
     pf.add_argument("--eps", required=True, help="comma-separated inhomogeneities")
     pf.add_argument("--nu", required=True, help="comma-separated rapidities")
     pf.add_argument("--method", choices=("perm", "det", "both"), default="both")
@@ -120,11 +140,11 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("--suite", required=True,
                         choices=("identity", "residues", "limit", "borchardt", "boson"))
-    verify.add_argument("--two-s", type=int)
+    verify.add_argument("--two-s", type=_TWO_S)
     verify.add_argument("--n", type=int)
     verify.add_argument("--m", type=int, default=1,
                         help="extra rapidities for the boson suite")
-    verify.add_argument("--trials", type=int, default=20)
+    verify.add_argument("--trials", type=_TRIALS, default=20)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--mode", choices=("exact", "f64"), default="exact")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
@@ -138,13 +158,13 @@ def _build_parser() -> _Parser:
     gam.add_argument("--out")
 
     coeffs = sub.add_parser("coeffs", help="dump the determinant structure coefficients")
-    coeffs.add_argument("--two-s", type=int, required=True)
+    coeffs.add_argument("--two-s", type=_TWO_S, required=True)
     coeffs.add_argument("--eps", required=True)
     coeffs.add_argument("--mode", choices=("exact", "f64"), default="exact")
     coeffs.add_argument("--out")
 
     bet = sub.add_parser("bethe", help="solve the Bethe equations")
-    bet.add_argument("--g", type=float, required=True)
+    bet.add_argument("--g", type=_COUPLING, required=True)
     bet.add_argument("--eps", required=True)
     bet.add_argument("--occupation", required=True, help="bits, e.g. 1,0,1 or 101")
     bet.add_argument("--route", choices=("quad", "richardson", "both"), default="both")

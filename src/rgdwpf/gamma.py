@@ -4,33 +4,30 @@ With rapidities v_1..v_O and Q(z) = prod_i (z - v_i), define
 
     G_n(z) = -Q^(n)(z) / Q(z),        G_0 = -1,  G_1(z) = -L(z),
 
-where L(z) = sum_i 1/(z - v_i).  Each G_n is a polynomial in the
-derivative tower L(z), L'(z), ..., L^(n-1)(z), built here by two
-independent routes that must agree exactly:
+where L(z) = sum_i 1/(z - v_i).  Since Q' = L Q, Leibniz's rule gives
 
-* the recursion  G_n = dG_{n-1}/dz + L * G_{n-1}, carried out symbolically
-  in the tower (d/dz maps L^(a) to L^(a+1)) and then evaluated;
-* an explicit sum over all exponent vectors k with sum (a+1)*k_a = n,
-  with combinatorial weights; the overall sign is fixed so that the n = 1
-  term reproduces G_1 = -L.
+    G_n = sum_{j<n} C(n-1, j) L^(j) G_{n-1-j},
+
+so each G_n is evaluated numerically from the derivative tower
+L(z), L'(z), ..., L^(n-1)(z) alone, never from the rapidities.  The
+explicit partition sum over exponent vectors and the polynomial quotient
+-Q^(n)/Q are independent test oracles (``tests/oracles.py``).
 
 These are the variables the partition-function determinant is written in,
 and they are symmetric under any permutation of the rapidities.
 """
 
-import threading
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .errors import CardinalityMismatch, InsufficientDerivatives, PoleAtEvaluationPoint
-from .linalg import Scalar, canonical
+from .linalg import canonical
 
 
 @dataclass(frozen=True)
 class LambdaDerivTable:
     """Values [L(z), L'(z), ..., L^(order)(z)] at a fixed point z."""
 
-    z: Scalar
     values: tuple
 
     @property
@@ -72,81 +69,11 @@ def lambda_derivatives(nu, z, n_max: int) -> LambdaDerivTable:
         values.append((-1) ** a * factorial(a) * s)
         if a < n_max:
             powers = [p * q for p, q in zip(powers, inv)]
-    return LambdaDerivTable(z=z, values=tuple(values))
-
-
-# The recursion is carried out on polynomials in the tower variables
-# x_a = L^(a)(z), represented as {exponent tuple: integer coefficient}.
-# A key (k_0, ..., k_m) stands for the monomial prod_a x_a^k_a.
-
-def _poly_derivative(poly):
-    out = {}
-    for key, coeff in poly.items():
-        for b, kb in enumerate(key):
-            if kb == 0:
-                continue
-            new = list(key)
-            new[b] -= 1
-            if b + 1 < len(new):
-                new[b + 1] += 1
-            else:
-                new.append(1)
-            _add_term(out, _trim(new), coeff * kb)
-    return out
-
-
-def _poly_times_lambda(poly):
-    out = {}
-    for key, coeff in poly.items():
-        new = list(key) if key else [0]
-        new[0] += 1
-        _add_term(out, tuple(new), coeff)
-    return out
-
-
-def _add_term(poly, key, coeff):
-    c = poly.get(key, 0) + coeff
-    if c:
-        poly[key] = c
-    else:
-        poly.pop(key, None)
-
-
-def _trim(key):
-    while key and key[-1] == 0:
-        key.pop()
-    return tuple(key)
-
-
-_POLY_CACHE = [{(): -1}]
-_POLY_LOCK = threading.Lock()
-
-
-def _gamma_poly(n: int):
-    if len(_POLY_CACHE) <= n:
-        with _POLY_LOCK:
-            while len(_POLY_CACHE) <= n:
-                prev = _POLY_CACHE[-1]
-                nxt = _poly_derivative(prev)
-                for key, coeff in _poly_times_lambda(prev).items():
-                    _add_term(nxt, key, coeff)
-                _POLY_CACHE.append(nxt)
-    return _POLY_CACHE[n]
-
-
-def _evaluate(poly, values):
-    total = 0
-    for key, coeff in poly.items():
-        term = coeff
-        for a, k in enumerate(key):
-            if k:
-                term *= values[a] ** k
-        total += term
-    return total
+    return LambdaDerivTable(values=tuple(values))
 
 
 def gamma_recursive(lam: LambdaDerivTable, n_max: int):
-    """[G_0, ..., G_{n_max}] via the symbolic recursion, evaluated on the tower.
+    """[G_0, ..., G_{n_max}] by the Leibniz recursion on the tower.
 
     Requires ``lam.order >= n_max - 1`` since G_n involves derivatives of L
     up to order n - 1 only.
@@ -156,65 +83,11 @@ def gamma_recursive(lam: LambdaDerivTable, n_max: int):
     if lam.order < n_max - 1:
         raise InsufficientDerivatives(
             f"order-{lam.order} table cannot evaluate G_{n_max}")
-    return tuple(_evaluate(_gamma_poly(n), lam.values) for n in range(n_max + 1))
-
-
-def _partition_vectors(n: int):
-    """All k = (k_0, ..., k_{n-1}) with sum (a+1)*k_a = n.
-
-    Generated with the highest-order slot varying slowest, i.e. in
-    lexicographic order of (k_{n-1}, ..., k_0).
-    """
-    def rec(a, remaining):
-        if a < 0:
-            if remaining == 0:
-                yield ()
-            return
-        step = a + 1
-        for ka in range(remaining // step + 1):
-            for tail in rec(a - 1, remaining - step * ka):
-                yield tail + (ka,)
-
-    yield from rec(n - 1, n)
-
-
-def gamma_partition_coefficient(k, n: int) -> int:
-    """Weight of the tower monomial with exponents k in G_n.
-
-    Returns n! / prod_a ((a+1)!)^k_a * k_a! when sum (a+1)*k_a = n, else 0.
-    Counts the set partitions of n items into k_a blocks of size a+1.
-    """
-    if any(ka < 0 for ka in k):
-        return 0
-    if sum((a + 1) * ka for a, ka in enumerate(k)) != n:
-        return 0
-    denom = 1
-    for a, ka in enumerate(k):
-        if ka:
-            denom *= factorial(a + 1) ** ka * factorial(ka)
-    quotient, rem = divmod(factorial(n), denom)
-    assert rem == 0
-    return quotient
-
-
-def gamma_explicit(lam: LambdaDerivTable, n: int):
-    """G_n from the explicit partition sum over exponent vectors.
-
-    G_n = - sum_k C[n, k] * prod_a (L^(a))^k_a; the global minus makes the
-    n = 1 term equal G_1 = -L, matching the defining quotient -Q^(n)/Q.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if lam.order < n - 1:
-        raise InsufficientDerivatives(f"order-{lam.order} table cannot evaluate G_{n}")
-    total = 0
-    for k in _partition_vectors(n):
-        term = gamma_partition_coefficient(k, n)
-        for a, ka in enumerate(k):
-            if ka:
-                term *= lam.values[a] ** ka
-        total += term
-    return -total
+    gammas = [-1]
+    for n in range(1, n_max + 1):
+        gammas.append(sum(comb(n - 1, j) * lam.values[j] * gammas[n - 1 - j]
+                          for j in range(n)))
+    return tuple(gammas)
 
 
 def build_gamma_table(system, nu) -> GammaTable:

@@ -80,10 +80,6 @@ class SquareMatrix:
             self.entries = tuple(tuple(Fraction(x) for x in r) for r in rows)
         self.dim = n
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, SquareMatrix)
                 and self.exact == other.exact

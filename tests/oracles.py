@@ -3,11 +3,16 @@
 Everything here is written for clarity, not speed, and deliberately
 avoids the code paths it is used to check: permanents by literal
 permutation sums, determinants by cofactor expansion, the hierarchy by
-exact polynomial differentiation of the rapidity polynomial.
+exact polynomial differentiation of the rapidity polynomial and by the
+explicit partition sum over exponent vectors.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
+
+from rgdwpf.errors import InsufficientDerivatives
+from rgdwpf.gamma import LambdaDerivTable
 
 
 def perm_by_permutation_sum(rows):
@@ -96,6 +101,64 @@ def lambda_derivs_by_quotient_rule(nu, z, n_max):
         values.append(num(z) / den(z))
         num, den = num.derivative() * den - num * den.derivative(), den * den
     return values
+
+
+def _partition_vectors(n: int):
+    """All k = (k_0, ..., k_{n-1}) with sum (a+1)*k_a = n.
+
+    Generated with the highest-order slot varying slowest, i.e. in
+    lexicographic order of (k_{n-1}, ..., k_0).
+    """
+    def rec(a, remaining):
+        if a < 0:
+            if remaining == 0:
+                yield ()
+            return
+        step = a + 1
+        for ka in range(remaining // step + 1):
+            for tail in rec(a - 1, remaining - step * ka):
+                yield tail + (ka,)
+
+    yield from rec(n - 1, n)
+
+
+def gamma_partition_coefficient(k, n: int) -> int:
+    """Weight of the tower monomial with exponents k in G_n.
+
+    Returns n! / prod_a ((a+1)!)^k_a * k_a! when sum (a+1)*k_a = n, else 0.
+    Counts the set partitions of n items into k_a blocks of size a+1.
+    """
+    if any(ka < 0 for ka in k):
+        return 0
+    if sum((a + 1) * ka for a, ka in enumerate(k)) != n:
+        return 0
+    denom = 1
+    for a, ka in enumerate(k):
+        if ka:
+            denom *= factorial(a + 1) ** ka * factorial(ka)
+    quotient, rem = divmod(factorial(n), denom)
+    assert rem == 0
+    return quotient
+
+
+def gamma_explicit(lam: LambdaDerivTable, n: int):
+    """G_n from the explicit partition sum over exponent vectors.
+
+    G_n = - sum_k C[n, k] * prod_a (L^(a))^k_a; the global minus makes the
+    n = 1 term equal G_1 = -L, matching the defining quotient -Q^(n)/Q.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if lam.order < n - 1:
+        raise InsufficientDerivatives(f"order-{lam.order} table cannot evaluate G_{n}")
+    total = 0
+    for k in _partition_vectors(n):
+        term = gamma_partition_coefficient(k, n)
+        for a, ka in enumerate(k):
+            if ka:
+                term *= lam.values[a] ** ka
+        total += term
+    return -total
 
 
 def rand_fraction(rng, lo=-999, hi=999, qmax=64):

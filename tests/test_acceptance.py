@@ -28,12 +28,7 @@ from rgdwpf.checks import (
     residue_probe_gaps,
 )
 from rgdwpf.errors import CostGuard
-from rgdwpf.gamma import (
-    build_gamma_table,
-    gamma_explicit,
-    gamma_recursive,
-    lambda_derivatives,
-)
+from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
 from rgdwpf.linalg import determinant, permanent
 from rgdwpf.partition import (
     SpinSystem,
@@ -51,6 +46,7 @@ from rgdwpf.partition import (
 
 from oracles import (
     gamma_by_polynomials,
+    gamma_explicit,
     rand_distinct_fractions,
     rand_fraction,
     spin_three_half_worked_coefficients,

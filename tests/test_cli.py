@@ -73,6 +73,12 @@ class TestPf:
         assert code == 1
         assert doc["error"]["kind"] == "PoleAtEvaluationPoint"
 
+    def test_negative_two_s_is_usage_error(self, capsys):
+        code, doc = run_json(capsys, ["pf", "--two-s", "-1", "--eps", "0",
+                                      "--nu", "1"])
+        assert code == 1
+        assert doc["error"]["kind"] == "usage"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "z.json"
         code = run(["pf", "--two-s", "1", "--eps", "0", "--nu", "2",
@@ -133,6 +139,14 @@ class TestVerify:
         assert code == 1
         assert doc["error"]["kind"] == "usage"
 
+    def test_no_trials_is_usage_error(self, capsys):
+        for trials in ("0", "-3"):
+            code, doc = run_json(capsys, ["verify", "--suite", "identity",
+                                          "--two-s", "1", "--n", "2",
+                                          "--trials", trials])
+            assert code == 1
+            assert doc["error"]["kind"] == "usage"
+
     def test_failed_checks_exit_code(self, capsys, monkeypatch):
         import rgdwpf.checks as checks
         from rgdwpf.checks import CheckReport
@@ -169,6 +183,11 @@ class TestCoeffs:
         assert doc["c1_diag"] == 1
         assert as_fraction(doc["c0_off"]["2,1"]) == want["c0_off"][(2, 1)]
 
+    def test_negative_two_s_is_usage_error(self, capsys):
+        code, doc = run_json(capsys, ["coeffs", "--two-s", "-2", "--eps", "0,1"])
+        assert code == 1
+        assert doc["error"]["kind"] == "usage"
+
 
 class TestBethe:
     def test_both_routes(self, capsys):
@@ -190,6 +209,19 @@ class TestBethe:
         code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1",
                                       "--occupation", "1"])
         assert code == 1
+
+    def test_zero_coupling_is_usage_error(self, capsys):
+        code, doc = run_json(capsys, ["bethe", "--g", "0", "--eps", "0,1",
+                                      "--occupation", "10"])
+        assert code == 1
+        assert doc["error"]["kind"] == "usage"
+
+    def test_non_finite_coupling_is_usage_error(self, capsys):
+        for g in ("nan", "inf", "-inf"):
+            code, doc = run_json(capsys, ["bethe", "--g", g, "--eps", "0,1",
+                                          "--occupation", "10"])
+            assert code == 1
+            assert doc["error"]["kind"] == "usage"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

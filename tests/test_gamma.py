@@ -5,17 +5,13 @@ from itertools import product
 import pytest
 
 from rgdwpf.errors import CardinalityMismatch, InsufficientDerivatives, PoleAtEvaluationPoint
-from rgdwpf.gamma import (
-    build_gamma_table,
-    gamma_explicit,
-    gamma_partition_coefficient,
-    gamma_recursive,
-    lambda_derivatives,
-)
+from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
 from rgdwpf.partition import SpinSystem
 
 from oracles import (
     gamma_by_polynomials,
+    gamma_explicit,
+    gamma_partition_coefficient,
     lambda_derivs_by_quotient_rule,
     rand_distinct_fractions,
     rand_fraction,
@@ -68,6 +64,10 @@ class TestGammaRecursive:
             gs = gamma_recursive(table, 3)
             for n, g in enumerate(gs):
                 assert g == gamma_by_polynomials(nu, z, n)
+            tower = lambda_derivatives([complex(v) for v in nu], complex(z), 2)
+            for n, g in enumerate(gamma_recursive(tower, 3)):
+                exact = gamma_by_polynomials(nu, z, n)
+                assert abs(g - exact) <= 1e-12 * abs(exact)
 
     def test_insufficient_derivatives(self):
         table = lambda_derivatives((2, 3), 0, 1)
@@ -130,12 +130,15 @@ class TestGammaExplicit:
             z = rand_fraction(rng)
             while z in nu:
                 z = rand_fraction(rng)
-            table = lambda_derivatives(nu, z, 5)
-            recursive = gamma_recursive(table, 6)
-            for n in range(7):
+            table = lambda_derivatives(nu, z, 11)
+            recursive = gamma_recursive(table, 12)
+            for n in range(13):
                 explicit = gamma_explicit(table, n)
                 assert explicit == recursive[n]
                 assert explicit == gamma_by_polynomials(nu, z, n)
+                if n > omega:
+                    # Q has degree omega, so its higher derivatives vanish
+                    assert recursive[n] == 0
 
     def test_insufficient_derivatives(self):
         table = lambda_derivatives((2, 3), 0, 0)

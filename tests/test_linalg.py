@@ -33,10 +33,10 @@ class TestSquareMatrix:
     def test_ints_are_canonicalized(self):
         m = SquareMatrix([[1, 2], [3, 4]])
         assert m.exact
-        assert m[0, 1] == Fraction(2)
+        assert m.entries[0][1] == Fraction(2)
         f = SquareMatrix([[1, 2.0], [3, 4]])
         assert not f.exact
-        assert f[0, 0] == 1.0
+        assert f.entries[0][0] == 1.0
 
 
 class TestPermanent:
