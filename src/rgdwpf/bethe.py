@@ -9,16 +9,18 @@ approach each other or a level.  The eigenvalue-based variables
 turn the same spectral problem into N coupled *quadratic* equations that
 stay real and regular even where rapidities collide into complex
 conjugate pairs, which is what makes them the preferred numerical route.
-Both solvers here continue solutions in the coupling g from the trivially
-solvable weak-coupling limit (homotopy), and a solution of one route must
-match the other after conversion.
+Both formulations are built from one pair-interaction matrix 1/(x_i - x_j)
+(over the levels, or over the rapidities) and share one driver that
+continues a solution in the coupling g from the trivially solvable
+weak-coupling limit (homotopy); a solution of one route must match the
+other after conversion.
 
 The dual description (lowering operators on the fully polarized state)
 shifts every eigenvalue-based variable by -2/g; the dual rapidities solve
 the rapidity equations with N - M unknowns at coupling -g.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +48,8 @@ class CouplingModel:
         object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
         if self.g == 0:
             raise ValueError("coupling g must be nonzero")
+        if not np.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
         if len(set(self.eps)) != len(self.eps):
             raise DegenerateEpsilons("levels must be pairwise distinct")
         if not 0 <= self.m <= self.n:
@@ -102,24 +106,22 @@ def richardson_residuals(state: RapidityState, model: CouplingModel) -> np.ndarr
     return _richardson_residuals_arr(lams, model.g, np.asarray(model.eps))
 
 
+def _inverse_gaps(x):
+    """The pair-interaction matrix 1/(x_i - x_j), zero on the diagonal."""
+    gaps = np.subtract.outer(x, x)
+    np.fill_diagonal(gaps, np.inf)
+    return 1 / gaps
+
+
 def _richardson_residuals_arr(lams, g, eps):
-    m = len(lams)
-    out = np.empty(m, dtype=complex)
-    for i in range(m):
-        pair = sum(2 / (lams[i] - lams[j]) for j in range(m) if j != i)
-        out[i] = 2 / g - pair - np.sum(1 / (eps - lams[i]))
-    return out
+    return (2 / g - 2 * _inverse_gaps(lams).sum(axis=1)
+            - (1 / (eps - lams[:, None])).sum(axis=1))
 
 
 def _richardson_jacobian(lams, g, eps):
-    m = len(lams)
-    jac = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        jac[i, i] = (sum(2 / (lams[i] - lams[j]) ** 2 for j in range(m) if j != i)
-                     - np.sum(1 / (eps - lams[i]) ** 2))
-        for j in range(m):
-            if j != i:
-                jac[i, j] = -2 / (lams[i] - lams[j]) ** 2
+    pair = 2 * _inverse_gaps(lams) ** 2
+    jac = -pair
+    np.fill_diagonal(jac, pair.sum(axis=1) - (1 / (eps - lams[:, None]) ** 2).sum(axis=1))
     return jac
 
 
@@ -130,37 +132,25 @@ def quad_residuals(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
                  - (2/g) L_i.
     """
     vals = np.asarray(lv.values)
-    eps = model.eps
-    n = model.n
-    out = np.empty(n, dtype=vals.dtype)
-    for i in range(n):
-        cross = sum((vals[i] - vals[j]) / (eps[i] - eps[j]) for j in range(n) if j != i)
-        out[i] = vals[i] ** 2 - cross - (2 / model.g) * vals[i]
-    return out
+    cross = (np.subtract.outer(vals, vals) * _inverse_gaps(model.eps)).sum(axis=1)
+    return vals ** 2 - cross - (2 / model.g) * vals
 
 
 def quad_jacobian(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
     """Analytic Jacobian of :func:`quad_residuals` with respect to the variables."""
     vals = np.asarray(lv.values)
-    eps = model.eps
-    n = model.n
-    jac = np.zeros((n, n), dtype=vals.dtype)
-    for i in range(n):
-        jac[i, i] = 2 * vals[i] - 2 / model.g
-        for j in range(n):
-            if j != i:
-                inv = 1 / (eps[i] - eps[j])
-                jac[i, i] -= inv
-                jac[i, j] = inv
+    inv = _inverse_gaps(model.eps)
+    jac = inv.astype(np.result_type(vals, float))
+    np.fill_diagonal(jac, 2 * vals - 2 / model.g - inv.sum(axis=1))
     return jac
 
 
-def _newton(residual, jacobian, x0, tol=RESIDUAL_TOL, max_iter=200):
+def _newton(residual, jacobian, x0):
     x = np.array(x0)
     r = residual(x)
     best = np.max(np.abs(r))
-    for _ in range(max_iter):
-        if best < tol:
+    for _ in range(200):
+        if best < RESIDUAL_TOL:
             return x, True
         try:
             dx = np.linalg.solve(jacobian(x), -r)
@@ -177,39 +167,41 @@ def _newton(residual, jacobian, x0, tol=RESIDUAL_TOL, max_iter=200):
             step *= 0.5
         else:
             return x, False
-    return x, bool(best < tol)
+    return x, bool(best < RESIDUAL_TOL)
 
 
-def _g_start(model: CouplingModel) -> float:
+def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
+    """Solve at weak coupling, then follow the branch to ``model.g``.
+
+    ``residual`` and ``jacobian`` take ``(x, g)``.  The start g0 is
+    ``model.g`` halved until |g0| <= :data:`START_GAP_FRACTION` times the
+    smallest level gap; Newton starts there from ``seed(g0)``.  The path
+    to ``model.g`` is geometric: accepted steps end with Newton residual
+    below :data:`RESIDUAL_TOL`, failed steps retry from ``extra_seeds(x)``
+    and then halve the path increment, at most :data:`MAX_STEP_HALVINGS`
+    times in total.
+    """
+    def newton_at(g, x):
+        return _newton(lambda v: residual(v, g), lambda v: jacobian(v, g), x)
+
     g0 = model.g
     while abs(g0) > START_GAP_FRACTION * model.min_gap:
         g0 /= 2
-    return g0
-
-
-def _continue_in_g(residual_of_g, jacobian_of_g, x, g0, g_target, extra_seeds=None):
-    """Follow a solution branch from g0 to g_target along a geometric path.
-
-    Accepted steps end with Newton residual below :data:`RESIDUAL_TOL`;
-    failed steps halve the path increment, at most
-    :data:`MAX_STEP_HALVINGS` times in total.
-    """
-    if g0 == g_target:
+    x, ok = newton_at(g0, seed(g0))
+    if not ok:
+        raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}", g_reached=g0)
+    if g0 == model.g:
         return x
-    ratio = g_target / g0
-    doublings = np.log(abs(ratio)) / np.log(2)
-    du0 = 1.0 / max(1, round(doublings * SUBSTEPS_PER_DOUBLING))
-    u, du = 0.0, du0
-    halvings = 0
+    ratio = model.g / g0
+    du0 = 1.0 / max(1, round(np.log(abs(ratio)) / np.log(2) * SUBSTEPS_PER_DOUBLING))
+    u, du, halvings = 0.0, du0, 0
     while u < 1.0:
         u_next = min(u + du, 1.0)
         g = g0 * ratio ** u_next
-        seeds = [x]
-        if extra_seeds is not None:
-            seeds += extra_seeds(x)
+        seeds = [x] + (extra_seeds(x) if extra_seeds is not None else [])
         converged = False
-        for seed in seeds:
-            xn, converged = _newton(residual_of_g(g), jacobian_of_g(g), seed)
+        for start in seeds:
+            xn, converged = newton_at(g, start)
             if converged:
                 break
         if converged:
@@ -249,22 +241,16 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     if model.m == 0:
         return LambdaVars(values=(0.0,) * model.n)
 
-    g0 = _g_start(model)
+    # quad_residuals and quad_jacobian are looked up as module globals on
+    # every evaluation, so a wrapped one sees each Newton iteration
+    def residual(v, g):
+        return quad_residuals(LambdaVars(tuple(v)), replace(model, g=g))
 
-    def _at(g):
-        return CouplingModel(g=g, eps=model.eps, m=model.m)
+    def jacobian(v, g):
+        return quad_jacobian(LambdaVars(tuple(v)), replace(model, g=g))
 
-    def res(g):
-        return lambda v: quad_residuals(LambdaVars(tuple(v)), _at(g))
-
-    def jac(g):
-        return lambda v: quad_jacobian(LambdaVars(tuple(v)), _at(g))
-
-    x0 = (2 / g0) * np.asarray(occupation, dtype=float)
-    x, ok = _newton(res(g0), jac(g0), x0)
-    if not ok:
-        raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}", g_reached=g0)
-    x = _continue_in_g(res, jac, x, g0, model.g)
+    x = _solve_by_continuation(
+        model, residual, jacobian, lambda g0: (2 / g0) * np.asarray(occupation, dtype=float))
     return LambdaVars(values=tuple(float(v) for v in x))
 
 
@@ -311,25 +297,14 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     if model.m == 0:
         return RapidityState(lambdas=())
 
-    g0 = _g_start(model)
     eps = np.asarray(model.eps)
-    m = model.m
-    jitter = 1j * 1e-6 * np.array([(k + 1) * (-1) ** k for k in range(m)])
-
-    def res(g):
-        return lambda lam: _richardson_residuals_arr(lam, g, eps)
-
-    def jac(g):
-        return lambda lam: _richardson_jacobian(lam, g, eps)
-
-    def fallback(lam):
-        return [lam + jitter] + _pair_rotations(lam)
-
-    x0 = np.array([model.eps[i] - g0 / 2 for i in levels], dtype=complex) + jitter
-    x, ok = _newton(res(g0), jac(g0), x0)
-    if not ok:
-        raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}", g_reached=g0)
-    x = _continue_in_g(res, jac, x, g0, model.g, extra_seeds=fallback)
+    jitter = 1j * 1e-6 * np.array([(k + 1) * (-1) ** k for k in range(model.m)])
+    x = _solve_by_continuation(
+        model,
+        lambda lam, g: _richardson_residuals_arr(lam, g, eps),
+        lambda lam, g: _richardson_jacobian(lam, g, eps),
+        lambda g0: np.array([model.eps[i] - g0 / 2 for i in levels], dtype=complex) + jitter,
+        extra_seeds=lambda lam: [lam + jitter] + _pair_rotations(lam))
     return RapidityState(lambdas=tuple(complex(v) for v in x))
 
 

@@ -39,6 +39,8 @@ from .partition import (
 
 #: Exact probe offsets used inside the residue checks.
 PROBE_OFFSETS = (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13))
+#: Rapidity scalings under which |Z| must decrease in the infinity-limit check.
+LIMIT_SCALES = (10 ** 3, 10 ** 6)
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,14 @@ def residue_probe_gaps(system: SpinSystem, nu_prefix, pole_spin: int = 1,
     For a simple pole these gaps shrink proportionally to t.
     """
     nu_prefix = tuple(nu_prefix)
-    target = _residue_target(system, nu_prefix, pole_spin)
+    return _probe_gaps(system, nu_prefix, pole_spin,
+                       _residue_target(system, nu_prefix, pole_spin), offsets)
+
+
+def _probe_gaps(system: SpinSystem, nu_prefix: tuple, pole_spin: int, target, offsets) -> list:
     pole = system.epsilons[pole_spin - 1]
-    gaps = []
-    for t in offsets:
-        z = z_determinant(system, nu_prefix + (pole + t,)).value
-        gaps.append(abs(t * z - target))
-    return gaps
+    return [abs(t * z_determinant(system, nu_prefix + (pole + t,)).value - target)
+            for t in offsets]
 
 
 def _residue_reports(system: SpinSystem, nu_prefix, poles) -> list:
@@ -131,7 +134,7 @@ def _residue_reports(system: SpinSystem, nu_prefix, poles) -> list:
         target = _residue_target(system, nu_prefix, j)
         holds = values_agree(residue, target, mode == "exact")
         if j == 1:
-            gaps = residue_probe_gaps(system, nu_prefix, 1)
+            gaps = _probe_gaps(system, nu_prefix, 1, target, PROBE_OFFSETS)
             # net decrease over the probe range, not stepwise: the subleading
             # correction can cross zero between two fixed offsets, dipping the
             # middle gap below the last one even though the residue is exact
@@ -171,12 +174,12 @@ def check_residue_epsj(system: SpinSystem, nu_prefix, j: int) -> CheckReport:
     return _residue_reports(system, nu_prefix, [j])[0]
 
 
-def check_infinity_limit(system: SpinSystem, nu, scales=(10 ** 3, 10 ** 6)) -> CheckReport:
+def check_infinity_limit(system: SpinSystem, nu) -> CheckReport:
     """|Z| must decrease under rapidity scaling and the limit matrix must be singular."""
     nu = tuple(nu)
     mode = _mode_of(nu + system.epsilons)
     magnitudes = [abs(z_determinant(system, tuple(v * t for v in nu)).value)
-                  for t in scales]
+                  for t in LIMIT_SCALES]
     decreasing = all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
     det_limit = determinant(build_J_limit(system))
     limit_zero = det_limit == 0 if mode == "exact" else abs(det_limit) < 1e-9
@@ -227,13 +230,13 @@ def residue_sweep(grid, trials: int = 5, seed: int = 0) -> list:
     return reports
 
 
-def limit_sweep(grid, trials: int = 5, seed: int = 0, scales=(10 ** 3, 10 ** 6)) -> list:
+def limit_sweep(grid, trials: int = 5, seed: int = 0) -> list:
     rng = random.Random(seed)
     reports = []
     for two_s, n in grid:
         for trial in range(trials):
             system, nu = random_instance(two_s, n, rng)
-            rep = check_infinity_limit(system, nu, scales)
+            rep = check_infinity_limit(system, nu)
             reports.append(replace(rep, trial=trial))
     return reports
 

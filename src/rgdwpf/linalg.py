@@ -37,14 +37,14 @@ def canonical(x):
     return Fraction(x) if is_exact(x) else x
 
 
-def values_agree(left, right, exact: bool, rel: float = 1e-9) -> bool:
-    """Mode-aware agreement: ``==`` in exact mode, relative error in float mode."""
+def values_agree(left, right, exact: bool) -> bool:
+    """Mode-aware agreement: ``==`` in exact mode, relative error below 1e-9 in float mode."""
     if exact:
         return left == right
     scale = max(abs(left), abs(right))
     if scale == 0:
         return True
-    return abs(left - right) / scale < rel
+    return abs(left - right) / scale < 1e-9
 
 
 def _finite(x) -> bool:

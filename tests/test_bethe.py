@@ -25,8 +25,11 @@ def evenly_spaced(n):
 
 class TestModel:
     def test_zero_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingModel(g=0.0, eps=(0.0, 1.0), m=1)
+        # a non-finite g would otherwise reach the solvers, whose start
+        # coupling is g halved until it is small: inf never gets there
+        for g in (0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CouplingModel(g=g, eps=(0.0, 1.0), m=1)
 
     def test_degenerate_levels_rejected(self):
         with pytest.raises(DegenerateEpsilons):
@@ -51,6 +54,29 @@ class TestRichardsonResiduals:
             res = richardson_residuals(RapidityState(lambdas=(root,)), model)
             assert abs(res[0]) < 1e-12
 
+    def test_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        eps = tuple(np.sort(rng.uniform(-3, 3, size=7)))
+        model = CouplingModel(g=0.7, eps=eps, m=4)
+        lams = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
+        want = [2 / model.g
+                - sum(2 / (lams[i] - lams[j]) for j in range(4) if j != i)
+                - sum(1 / (e - lams[i]) for e in eps) for i in range(4)]
+        got = richardson_residuals(RapidityState(lambdas=lams), model)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(12)
+        eps = np.arange(7.0)
+        point = rng.uniform(0, 6, size=4) + 1j * rng.uniform(-1, 1, size=4)
+        jac = bethe._richardson_jacobian(point, 0.8, eps)
+        h = 1e-6
+        for k in range(4):
+            bump = h * np.eye(4)[k]
+            fd = (bethe._richardson_residuals_arr(point + bump, 0.8, eps)
+                  - bethe._richardson_residuals_arr(point - bump, 0.8, eps)) / (2 * h)
+            assert np.max(np.abs(jac[:, k] - fd) / np.maximum(np.abs(jac[:, k]), 1e-12)) < 1e-5
+
     def test_solver_state_is_self_consistent(self):
         model = CouplingModel(g=0.7, eps=evenly_spaced(5), m=2)
         state = solve_richardson(model, (0, 1))
@@ -68,6 +94,17 @@ class TestQuadResiduals:
         model = CouplingModel(g=0.5, eps=(1.0,), m=1)
         res = quad_residuals(LambdaVars(values=(2 / 0.5,)), model)
         assert abs(res[0]) < 1e-14
+
+    def test_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        eps = tuple(np.sort(rng.uniform(-3, 3, size=7)))
+        model = CouplingModel(g=0.7, eps=eps, m=4)
+        vals = rng.normal(size=7) + 1j * rng.normal(size=7)
+        want = [vals[i] ** 2
+                - sum((vals[i] - vals[j]) / (eps[i] - eps[j]) for j in range(7) if j != i)
+                - (2 / model.g) * vals[i] for i in range(7)]
+        got = quad_residuals(LambdaVars(tuple(vals)), model)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_solution_from_richardson_route(self):
         model = CouplingModel(g=0.6, eps=evenly_spaced(4), m=2)
@@ -98,17 +135,18 @@ class TestQuadJacobian:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(5)
         model = CouplingModel(g=0.9, eps=evenly_spaced(4), m=2)
-        point = rng.uniform(-2, 2, size=4)
-        jac = quad_jacobian(LambdaVars(tuple(point)), model)
-        h = 1e-6
-        for k in range(4):
-            bumped_up = point.copy()
-            bumped_up[k] += h
-            bumped_dn = point.copy()
-            bumped_dn[k] -= h
-            fd = (quad_residuals(LambdaVars(tuple(bumped_up)), model)
-                  - quad_residuals(LambdaVars(tuple(bumped_dn)), model)) / (2 * h)
-            assert np.max(np.abs(jac[:, k] - fd) / np.maximum(np.abs(jac[:, k]), 1e-12)) < 1e-5
+        # an integer-valued point must not truncate the float results
+        for point in (rng.uniform(-2, 2, size=4), np.array([1, 2, -1, 0])):
+            jac = quad_jacobian(LambdaVars(tuple(point)), model)
+            assert np.array_equal(quad_residuals(LambdaVars(tuple(point)), model),
+                                  quad_residuals(LambdaVars(tuple(point * 1.0)), model))
+            h = 1e-6
+            for k in range(4):
+                bump = h * np.eye(4)[k]
+                fd = (quad_residuals(LambdaVars(tuple(point + bump)), model)
+                      - quad_residuals(LambdaVars(tuple(point - bump)), model)) / (2 * h)
+                assert np.max(np.abs(jac[:, k] - fd)
+                              / np.maximum(np.abs(jac[:, k]), 1e-12)) < 1e-5
 
 
 class TestSolveQuadratic:

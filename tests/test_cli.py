@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import rgdwpf
 from rgdwpf.cli import run
 
 from oracles import gamma_by_polynomials, spin_three_half_worked_coefficients
@@ -228,3 +233,20 @@ def test_unknown_subcommand_is_usage_error(capsys):
     code, doc = run_json(capsys, ["frobnicate"])
     assert code == 1
     assert doc["error"]["kind"] == "usage"
+
+
+def test_module_entry_point_exit_codes():
+    # python -m rgdwpf goes through __main__ and cli.main, which map the
+    # exit code of run() onto the process
+    env = dict(os.environ)
+    src = str(Path(rgdwpf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "rgdwpf", "pf", "--eps", "0,1", "--nu", "2,3,5",
+            "--method", "det"]
+    ok = subprocess.run(argv + ["--two-s", "2"], capture_output=True, text=True,
+                        env=env, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert as_fraction(json.loads(ok.stdout)["value"]) == Fraction(19, 60)
+    bad = subprocess.run(argv + ["--two-s", "-1"], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert bad.returncode == 1
