@@ -125,20 +125,26 @@ def _richardson_jacobian(lams, g, eps):
     return jac
 
 
+def _lambda_array(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
+    if len(lv.values) != model.n:
+        raise CardinalityMismatch(f"{len(lv.values)} variables for {model.n} levels")
+    return np.asarray(lv.values)
+
+
 def quad_residuals(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
     """Defects of the quadratic equations in the eigenvalue-based variables.
 
     residual_i = L_i^2 - sum_{j != i} (L_i - L_j)/(eps_i - eps_j)
                  - (2/g) L_i.
     """
-    vals = np.asarray(lv.values)
+    vals = _lambda_array(lv, model)
     cross = (np.subtract.outer(vals, vals) * _inverse_gaps(model.eps)).sum(axis=1)
     return vals ** 2 - cross - (2 / model.g) * vals
 
 
 def quad_jacobian(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
     """Analytic Jacobian of :func:`quad_residuals` with respect to the variables."""
-    vals = np.asarray(lv.values)
+    vals = _lambda_array(lv, model)
     inv = _inverse_gaps(model.eps)
     jac = inv.astype(np.result_type(vals, float))
     np.fill_diagonal(jac, 2 * vals - 2 / model.g - inv.sum(axis=1))

@@ -106,8 +106,7 @@ def _scalar_json(x):
 
 
 def _report_json(rep) -> dict:
-    return {"check": rep.check, "two_s": rep.two_s, "n": rep.n,
-            "trial": rep.trial, "holds": rep.holds}
+    return {**vars(rep), "left": _scalar_json(rep.left), "right": _scalar_json(rep.right)}
 
 
 def _emit(doc: dict, out_path, fmt: str = "json", reports=None):

@@ -8,22 +8,28 @@ Two scalar modes exist and are never mixed inside one matrix:
 * float mode: ``float`` / ``complex``.  Kernels reject non-finite entries
   and report overflow to non-finite results.
 
-The permanent uses Ryser's inclusion-exclusion formula with Gray-code
-updates, O(2^n * n); in exact mode rows are rescaled to integers first so
-the inner loop runs on machine/big ints instead of Fractions.  The exact
-determinant clears denominators row by row and runs fraction-free
-(Bareiss) elimination on the integer matrix; the float determinant is
-partially pivoted Gaussian elimination.
+The permanent uses Glynn's formula (Eur. J. Combin. 31 (2010) 1887) over
+classes of equal columns: flipping the sign of k of a class's m copies
+adds (m - 2k) times the column to the row sums in comb(m, k) ways (R. Kan,
+J. Multivariate Anal. 99 (2008) 542), and single columns are walked in
+Gray-code order, about prod(m + 1) / 2 products of n row sums in all.
+In exact mode rows are rescaled to integers first so the inner loop runs
+on machine/big ints instead of Fractions.  The exact determinant clears
+denominators row by row and runs fraction-free (Bareiss) elimination on
+the integer matrix; the float determinant is partially pivoted Gaussian
+elimination.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import isfinite, lcm
+from itertools import product
+from math import comb, isfinite, lcm, prod
 
 from .errors import DimensionTooLarge, NonFiniteEntry
 
 Scalar = Fraction | int | float | complex
 
-#: Ryser refuses above this dimension (2^20 subsets is already ~1e6).
+#: The permanent refuses above this dimension (2^19 sign vectors is already ~5e5).
 RYSER_MAX_DIM = 20
 
 
@@ -109,7 +115,7 @@ def _int_rows_and_scale(m: SquareMatrix):
 
 
 def permanent(m: SquareMatrix) -> Scalar:
-    """Permanent by Ryser's formula with Gray-code row-sum updates.
+    """Permanent by Glynn's formula over classes of equal columns.
 
     Exact mode returns the exact rational.  Raises
     :class:`DimensionTooLarge` above dim 20 and :class:`NonFiniteEntry`
@@ -120,36 +126,35 @@ def permanent(m: SquareMatrix) -> Scalar:
         raise DimensionTooLarge(f"permanent of dim {n} > {RYSER_MAX_DIM} refused")
     if m.exact:
         rows, scale = _int_rows_and_scale(m)
-        return Fraction(_ryser(rows, 0), scale)
+        return Fraction(_glynn(rows), scale << (n - 1))
     _require_finite(m)
-    result = _ryser(list(list(r) for r in m.entries), 0.0)
+    result = _glynn(m.entries) / (1 << (n - 1))
     if not _finite(result):
         raise NonFiniteEntry("permanent overflowed to a non-finite value")
     return result
 
 
-def _ryser(rows, zero):
-    n = len(rows)
-    row_sums = [zero] * n
-    total = zero
-    gray = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        gray ^= bit
-        if gray & bit:
-            for i in range(n):
-                row_sums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                row_sums[i] -= rows[i][j]
-        prod = row_sums[0]
-        for i in range(1, n):
-            prod *= row_sums[i]
-        if (n - gray.bit_count()) % 2:
-            total -= prod
-        else:
-            total += prod
+def _glynn(rows):
+    """2^(n-1) perm: sum of prod(d) prod_i sum_j d_j a_ij over signs d fixing one column at +1."""
+    classes = Counter(zip(*rows))
+    fixed = min(classes, key=classes.get)
+    classes[fixed] -= 1
+    singles = [col for col, mult in classes.items() if mult == 1]
+    repeated = [(col, mult) for col, mult in classes.items() if mult > 1]
+    to_sign = [(tuple(2 * x for x in col), tuple(-2 * x for x in col)) for col in singles]
+    base = [sum(row) for row in zip(fixed, *singles)]
+    total = 0
+    for counts in product(*(range(mult + 1) for _, mult in repeated)):
+        row_sums = [b + sum((mult - 2 * k) * col[i] for (col, mult), k in zip(repeated, counts))
+                    for i, b in enumerate(base)]
+        part = prod(row_sums)
+        gray = 0
+        for k in range(1, 1 << len(singles)):
+            j = (k & -k).bit_length() - 1
+            gray ^= 1 << j
+            row_sums = [a + b for a, b in zip(row_sums, to_sign[j][gray >> j & 1])]
+            part += -prod(row_sums) if gray.bit_count() % 2 else prod(row_sums)
+        total += prod((-1) ** k * comb(mult, k) for (_, mult), k in zip(repeated, counts)) * part
     return total
 
 

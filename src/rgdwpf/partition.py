@@ -5,11 +5,11 @@ inhomogeneity plus N-1 spins 1/2, traversed by Omega = two_s + N - 1
 rapidities.  The partition function Z is computed along two independent
 routes:
 
-* the permanent route: the defining sum over all ways of attaching two_s
-  rapidities to the first inhomogeneity and bijecting the rest onto the
-  others (equivalently, the permanent of the Omega x Omega Cauchy-type
-  matrix whose first column block repeats the first inhomogeneity);
-  exponential cost, guarded at Omega <= 14;
+* the permanent route: the permanent of the Omega x Omega Cauchy-type
+  matrix whose column 1/(nu - eps_1) repeats two_s times, i.e. the
+  defining sum over all ways of attaching two_s rapidities to the first
+  inhomogeneity and bijecting the rest onto the others; (two_s + 1) *
+  2^(N-2) products of Omega row sums, guarded at Omega <= 14;
 * the determinant route: an N x N matrix contracted from structure
   coefficients (multiset sums over the inhomogeneities) and the
   log-derivative hierarchy of the rapidity polynomial; polynomial in N
@@ -24,21 +24,20 @@ realizations) live here as well.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, frexp, ldexp
+from statistics import fmean
 
 from .errors import (
     CardinalityMismatch,
     CostGuard,
     DegenerateEpsilons,
-    NonFiniteEntry,
     PoleAtEvaluationPoint,
 )
 from .gamma import GammaTable, build_gamma_table
 from .linalg import (
     Scalar,
     SquareMatrix,
-    _finite,
     canonical,
     determinant,
     is_exact,
@@ -133,12 +132,11 @@ def _check_no_poles(nu, eps):
 
 
 def z_permanent(system: SpinSystem, nu) -> PartitionValue:
-    """Partition function as the defining sum over rapidity attachments.
+    """Partition function as the permanent whose row v is 1/(v - eps_k), k >= 1.
 
-    Sums (2S)! / prod(A - eps_1) over all two_s-subsets A of the
-    rapidities, times the permanent of the Cauchy matrix pairing the
-    remaining rapidities with the spin-1/2 inhomogeneities.  For two_s = 1
-    this is the permanent of the plain Cauchy matrix.
+    The column of eps_1 repeats two_s times, so this is the defining sum over
+    attachments of two_s rapidities to eps_1; its cost is (two_s + 1) *
+    2^(N-2) products of Omega row sums.
     """
     nu = tuple(canonical(v) for v in nu)
     if len(nu) != system.omega:
@@ -149,24 +147,9 @@ def z_permanent(system: SpinSystem, nu) -> PartitionValue:
             f"permanent route refused for omega = {system.omega} > {PERMANENT_MAX_OMEGA}")
     eps = system.epsilons
     _check_no_poles(nu, eps)
-    two_s = system.two_s
-    fact = canonical(factorial(two_s))
-    others = eps[1:]
-    total = 0
-    for a_idx in combinations(range(system.omega), two_s):
-        denom = 1
-        for i in a_idx:
-            denom *= nu[i] - eps[0]
-        chosen = set(a_idx)
-        rest = [nu[i] for i in range(system.omega) if i not in chosen]
-        if others:
-            inner = permanent(SquareMatrix([[1 / (v - e) for e in others] for v in rest]))
-        else:
-            inner = 1
-        total += fact / denom * inner
-    if isinstance(total, (float, complex)) and not _finite(total):
-        raise NonFiniteEntry("partition function overflowed to a non-finite value")
-    return PartitionValue(value=total, method="permanent", system=system, rapidities=nu)
+    rows = [[1 / (v - eps[0])] * system.two_s + [1 / (v - e) for e in eps[1:]] for v in nu]
+    return PartitionValue(value=permanent(SquareMatrix(rows)), method="permanent",
+                          system=system, rapidities=nu)
 
 
 def _inv_prod(eps1, multiset):
@@ -341,15 +324,21 @@ class BosonSumResult:
 def boson_sum_determinant(nu, eps) -> BosonSumResult:
     """Sum of Cauchy permanents over all N-subsets of an oversized rapidity set.
 
-    The right-hand side is the determinant of :func:`build_J_spin_half`
-    on the whole rapidity set.
+    The sum is perm([C | t]) / ((M-N)! t^(M-N)) for the M x N Cauchy matrix
+    C padded by M - N columns of t.  The right-hand side is the determinant
+    of :func:`build_J_spin_half` on the whole rapidity set.
     """
-    nu, eps = tuple(nu), tuple(eps)
+    nu, eps = tuple(canonical(v) for v in nu), tuple(canonical(e) for e in eps)
     j_tilde = build_J_spin_half(eps, nu)
     if len(nu) > BOSON_MAX_RAPIDITIES:
         raise CostGuard(
             f"subset sum refused for {len(nu)} > {BOSON_MAX_RAPIDITIES} rapidities")
-    lhs = sum(permanent(cauchy_matrix(subset, eps)) for subset in combinations(nu, len(eps)))
+    extra, cauchy = len(nu) - len(eps), [[1 / (v - e) for e in eps] for v in nu]
+    # float mode pads with a power of two near the entries' size; ones lose up to 2e-7
+    t = 1 if j_tilde.exact else ldexp(1.0, min(64, max(-64, round(fmean(
+        frexp(abs(x))[1] for row in cauchy for x in row)))))
+    lhs = permanent(SquareMatrix([r + [t] * extra for r in cauchy]))
+    lhs /= factorial(extra) * t ** extra
     rhs = determinant(j_tilde)
     return BosonSumResult(sum_of_permanents=lhs, det_j_tilde=rhs,
                           holds=values_agree(lhs, rhs, j_tilde.exact))

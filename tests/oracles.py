@@ -2,13 +2,14 @@
 
 Everything here is written for clarity, not speed, and deliberately
 avoids the code paths it is used to check: permanents by literal
-permutation sums, determinants by cofactor expansion, the hierarchy by
-exact polynomial differentiation of the rapidity polynomial and by the
-explicit partition sum over exponent vectors.
+permutation sums, the partition function by its defining attachment sum,
+determinants by cofactor expansion, the hierarchy by exact polynomial
+differentiation of the rapidity polynomial and by the explicit partition
+sum over exponent vectors.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from rgdwpf.errors import InsufficientDerivatives
@@ -24,6 +25,24 @@ def perm_by_permutation_sum(rows):
         for i in range(n):
             prod *= rows[i][sigma[i]]
         total += prod
+    return total
+
+
+def z_by_attachment_sum(two_s, eps, nu):
+    """Partition function as the defining sum over rapidity attachments.
+
+    Sums (2S)! / prod(A - eps_1) over all two_s-subsets A of the
+    rapidities, times the permanent of the Cauchy matrix pairing the
+    remaining rapidities with the spin-1/2 inhomogeneities.
+    """
+    total = 0
+    for chosen in combinations(range(len(nu)), two_s):
+        weight = factorial(two_s)
+        for i in chosen:
+            weight /= nu[i] - eps[0]
+        rest = [v for i, v in enumerate(nu) if i not in chosen]
+        cauchy = [[1 / (v - e) for e in eps[1:]] for v in rest]
+        total += weight * (perm_by_permutation_sum(cauchy) if rest else 1)
     return total
 
 

@@ -113,6 +113,13 @@ class TestQuadResiduals:
         res = quad_residuals(LambdaVars(tuple(v.real for v in lv.values)), model)
         assert max(abs(r) for r in res) < 1e-10
 
+    def test_variable_count_must_match_levels(self):
+        model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=1)
+        for values in [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)]:
+            for function in (quad_residuals, quad_jacobian):
+                with pytest.raises(CardinalityMismatch):
+                    function(LambdaVars(values), model)
+
 
 class TestLambdasFromRapidities:
     def test_empty_state(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import rgdwpf
 from rgdwpf.cli import run
+from rgdwpf.partition import random_instance, z_permanent
 
 from oracles import gamma_by_polynomials, spin_three_half_worked_coefficients
 
@@ -128,6 +130,23 @@ class TestVerify:
                                       "--m", "2", "--trials", "3", "--seed", "3"])
         assert code == 0
         assert doc["passed"] == 3
+
+    def test_reports_carry_their_evidence(self, capsys):
+        _, doc = run_json(capsys, ["verify", "--suite", "identity", "--two-s", "2",
+                                   "--n", "3", "--trials", "1", "--seed", "5"])
+        rep = doc["reports"][0]
+        assert (rep["mode"], rep["detail"]) == ("exact", "")
+        system, nu = random_instance(2, 3, random.Random(5))
+        assert as_fraction(rep["left"]) == as_fraction(rep["right"]) == \
+            z_permanent(system, nu).value
+        _, doc = run_json(capsys, ["verify", "--suite", "residues", "--two-s", "2",
+                                   "--n", "3", "--trials", "1", "--seed", "1"])
+        for rep in doc["reports"]:
+            assert rep["mode"] == "exact" and rep["detail"]
+            assert isinstance(rep["left"]["num"], str) and rep["left"] == rep["right"]
+        _, doc = run_json(capsys, ["verify", "--suite", "identity", "--two-s", "1",
+                                   "--n", "3", "--trials", "1", "--mode", "f64"])
+        assert isinstance(doc["reports"][0]["left"], float)
 
     def test_csv_format(self, capsys):
         code = run(["verify", "--suite", "identity", "--two-s", "1", "--n", "3",

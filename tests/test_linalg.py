@@ -51,6 +51,23 @@ class TestPermanent:
         for _ in range(5):
             rows = rand_matrix(rng, 6)
             assert permanent(SquareMatrix(rows)) == perm_by_permutation_sum(rows)
+        # column j is copy pattern[j] of a few random columns: one class
+        # repeated 2, 3 or 4 times, two repeated classes, all columns equal
+        patterns = [(0, 1, 0, 2, 3, 4), (1, 0, 2, 0, 0), (0, 0, 1, 0, 0, 2, 3),
+                    (0, 1, 1, 2, 0, 3), (2, 1, 0, 1, 2, 1, 2), (0, 0, 0, 0), (0,)]
+        draws = [lambda: rand_fraction(rng),
+                 lambda: rng.uniform(-1, 1),
+                 lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+        for pattern in patterns:
+            n = len(pattern)
+            for draw in draws:
+                cols = [[draw() for _ in range(n)] for _ in range(max(pattern) + 1)]
+                rows = [[cols[c][i] for c in pattern] for i in range(n)]
+                got, want = permanent(SquareMatrix(rows)), perm_by_permutation_sum(rows)
+                if isinstance(want, Fraction):
+                    assert got == want, pattern
+                else:
+                    assert abs(got - want) <= 1e-12 * abs(want), (pattern, got, want)
 
     def test_row_swap_invariance(self):
         rng = random.Random(103)

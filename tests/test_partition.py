@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from rgdwpf import partition
 from rgdwpf.errors import (
     CardinalityMismatch,
     CostGuard,
@@ -12,7 +13,7 @@ from rgdwpf.errors import (
     PoleAtEvaluationPoint,
 )
 from rgdwpf.gamma import build_gamma_table
-from rgdwpf.linalg import SquareMatrix, determinant, permanent
+from rgdwpf.linalg import determinant, permanent
 from rgdwpf.partition import (
     SpinSystem,
     borchardt_check,
@@ -32,13 +33,14 @@ from oracles import (
     perm_by_permutation_sum,
     rand_distinct_fractions,
     spin_three_half_worked_coefficients,
+    z_by_attachment_sum,
 )
 
 
 def repeated_column_permanent(system, nu):
     """Oracle: the big permanent with the first inhomogeneity repeated two_s times."""
     cols = (system.epsilons[0],) * system.two_s + system.epsilons[1:]
-    return permanent(SquareMatrix([[1 / (v - e) for e in cols] for v in nu]))
+    return perm_by_permutation_sum([[1 / (v - e) for e in cols] for v in nu])
 
 
 class TestSpinSystem:
@@ -90,9 +92,29 @@ class TestZPermanent:
 
     def test_matches_repeated_column_permanent(self):
         rng = random.Random(31)
-        for two_s, n in [(1, 3), (2, 2), (2, 3), (3, 2), (0, 3)]:
+        for two_s, n in [(1, 3), (2, 2), (2, 3), (3, 2), (0, 3), (4, 3), (2, 5), (5, 3)]:
             system, nu = random_instance(two_s, n, rng)
             assert z_permanent(system, nu).value == repeated_column_permanent(system, nu)
+
+    def test_matches_attachment_sum_oracle(self):
+        rng = random.Random(37)
+        for two_s, n in [(1, 1), (0, 4), (1, 5), (2, 4), (3, 3), (4, 4), (6, 2), (5, 4)]:
+            system, nu = random_instance(two_s, n, rng)
+            want = z_by_attachment_sum(two_s, system.epsilons, nu)
+            assert z_permanent(system, nu).value == want
+            eps_f = tuple(float(e) for e in system.epsilons)
+            got = z_permanent(SpinSystem(two_s, eps_f), [float(v) for v in nu]).value
+            assert math.isclose(got, z_by_attachment_sum(two_s, eps_f, [float(v) for v in nu]),
+                                rel_tol=1e-12)
+
+    def test_one_permanent_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(partition, "permanent", lambda m: calls.append(m.dim) or 1)
+        rng = random.Random(38)
+        system, nu = random_instance(4, 3, rng)
+        z_permanent(system, nu)
+        boson_sum_determinant(rand_distinct_fractions(rng, 5), (0, 1, 2))
+        assert calls == [6, 5]
 
     def test_cost_guard(self):
         system = SpinSystem(two_s=1, epsilons=tuple(range(15)))
@@ -327,6 +349,21 @@ class TestBosonSum:
             res = boson_sum_determinant(nu, eps)
             assert res.holds
             assert res.sum_of_permanents == res.det_j_tilde
+
+    def test_matches_subset_permanent_oracle(self):
+        rng = random.Random(49)
+        for n, extra in [(2, 1), (3, 2), (4, 3), (5, 3)]:
+            eps = rand_distinct_fractions(rng, n)
+            nu = rand_distinct_fractions(rng, n + extra, avoid=eps)
+            for exact in (True, False):
+                e, v = (eps, nu) if exact else ([float(x) for x in eps], [float(x) for x in nu])
+                cauchy = [[1 / (a - b) for b in e] for a in v]
+                want = sum(perm_by_permutation_sum(rows) for rows in combinations(cauchy, n))
+                got = boson_sum_determinant(v, e).sum_of_permanents
+                if exact:
+                    assert got == want
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-12), (n, extra)
 
     def test_cost_guard(self):
         eps = tuple(Fraction(i) for i in range(6))
