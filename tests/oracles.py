@@ -3,14 +3,15 @@
 Everything here is written for clarity, not speed, and deliberately
 avoids the code paths it is used to check: permanents by literal
 permutation sums, the partition function by its defining attachment sum,
-determinants by cofactor expansion, the hierarchy by exact polynomial
+determinants by cofactor expansion and by fraction-free (Bareiss)
+elimination on big integers, the hierarchy by exact polynomial
 differentiation of the rapidity polynomial and by the explicit partition
 sum over exponent vectors.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm
 
 from rgdwpf.errors import InsufficientDerivatives
 from rgdwpf.gamma import LambdaDerivTable
@@ -56,6 +57,35 @@ def det_by_cofactors(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_by_cofactors(minor)
     return total
+
+
+def det_by_bareiss(rows):
+    """Determinant by fraction-free (Bareiss) elimination on the integer matrix.
+
+    Each row is first cleared to integers by the lcm of its denominators;
+    every division in the elimination is exact.
+    """
+    ints, scale = [], 1
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        mult = lcm(*(x.denominator for x in row))
+        ints.append([int(x * mult) for x in row])
+        scale *= mult
+    n = len(ints)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if ints[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if ints[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            ints[k], ints[swap] = ints[swap], ints[k]
+            sign = -sign
+        pivot = ints[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                ints[i][j] = (ints[i][j] * pivot - ints[i][k] * ints[k][j]) // prev
+        prev = pivot
+    return Fraction(sign * ints[n - 1][n - 1], scale)
 
 
 class Poly:

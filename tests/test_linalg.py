@@ -1,18 +1,30 @@
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rgdwpf import linalg
 from rgdwpf.errors import DimensionTooLarge, NonFiniteEntry
+from rgdwpf.gamma import build_gamma_table
 from rgdwpf.linalg import (
     SquareMatrix,
     determinant,
     permanent,
     values_agree,
 )
+from rgdwpf.partition import (
+    SpinSystem,
+    boson_sum_determinant,
+    build_J_higher,
+    build_J_limit,
+    random_instance,
+)
 
-from oracles import det_by_cofactors, perm_by_permutation_sum, rand_fraction
+from oracles import det_by_bareiss, det_by_cofactors, perm_by_permutation_sum, rand_fraction
 
 
 def rand_matrix(rng, n):
@@ -149,8 +161,101 @@ class TestDeterminant:
             determinant(SquareMatrix([[float("inf"), 1.0], [0.0, 1.0]]))
 
 
+def sylvester(order):
+    """Sylvester's Hadamard matrix: |det| = order^(order/2), the Hadamard bound itself."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+class TestExactKernel:
+    """The multimodular exact determinant against Bareiss elimination (``==``)."""
+
+    @staticmethod
+    def check(rows):
+        got = determinant(SquareMatrix(rows))
+        assert got == det_by_bareiss(rows)
+        return got
+
+    def test_seeded_rational_matrices(self):
+        rng = random.Random(110)
+        for n in range(1, 13):
+            for _ in range(3):
+                # numerators from 1 to 40 digits, denominators up to 25 digits
+                rows = [[Fraction(rng.randint(-10 ** rng.randint(0, 40), 10 ** rng.randint(0, 40)),
+                                  rng.randint(1, 10 ** rng.randint(0, 25)))
+                         for _ in range(n)] for _ in range(n)]
+                self.check(rows)
+
+    def test_hadamard_matrices_sit_at_the_bound(self):
+        rng = random.Random(111)
+        for order in (1, 2, 4, 8, 16):
+            h = sylvester(order)
+            assert abs(self.check(h)) == order ** (order // 2)
+            self.check([[-x for x in row] for row in h])
+            self.check(rng.sample(h, order))
+
+    def test_zero_leading_entry_modulo_the_first_prime(self):
+        # 2^31 - 1 is the largest prime below 2^31, the first the kernel uses;
+        # modulo it the (1,1) entry vanishes and the pivot row is swapped
+        rng = random.Random(112)
+        p = int(linalg._PRIMES[0])
+        assert p == 2 ** 31 - 1
+        rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
+        rows[0][0] = Fraction(3 * p)
+        self.check(rows)
+        self.check([[p, 1], [1, 1]])
+
+    def test_singular_matrices(self):
+        rng = random.Random(113)
+        row = [rand_fraction(rng) for _ in range(6)]
+        rows = [[rand_fraction(rng) for _ in range(6)] for _ in range(6)]
+        rows[1], rows[4] = row, list(row)
+        assert self.check(rows) == 0
+        rows[2] = [Fraction(0)] * 6
+        assert self.check(rows) == 0
+        for two_s, n in ((1, 4), (3, 5), (6, 3)):
+            limit = build_J_limit(SpinSystem(two_s, tuple(range(n))))
+            assert determinant(limit) == 0 == det_by_bareiss(limit.entries)
+
+    def test_wide_spin_half_matrix(self):
+        system, nu = random_instance(1, 36, random.Random(114))
+        j = build_J_higher(system, build_gamma_table(system, nu))
+        assert determinant(j) == det_by_bareiss(j.entries)
+
+    def test_primes_continue_past_the_import_time_window(self):
+        # bounds beyond the ~190k bits of the window sieved at import draw
+        # from further windows, sieved on demand
+        k = len(linalg._PRIMES)
+        drawn = list(itertools.islice(linalg._primes(), k - 40, k + 40))
+        assert drawn[39] == linalg._PRIMES[-1]
+        span = range(drawn[-1], drawn[0] + 1)
+        assert drawn == [x for x in reversed(span) if x % 2 and all(x % d for d in range(3, 46341, 2))]
+
+    def test_reduction_of_values_longer_than_one_limb_chunk(self):
+        rng = random.Random(116)
+        values = [rng.getrandbits(600_000), -rng.getrandbits(17), 0, -rng.getrandbits(524_300)]
+        primes = linalg._PRIMES[:3].tolist() + [65537]
+        limbs, signs = linalg._limbs(values)
+        assert len(limbs) > linalg._LIMB_CHUNK
+        got = linalg._reduce(limbs, signs, np.array(primes, dtype=np.int64))
+        assert got.tolist() == [[x % q for x in values] for q in primes]
+
+
 def test_values_agree_modes():
     assert values_agree(Fraction(1, 3), Fraction(1, 3), exact=True)
     assert not values_agree(Fraction(1, 3), Fraction(1, 2), exact=True)
+    assert values_agree(Fraction(0), Fraction(0), exact=True)
     assert values_agree(1.0, 1.0 + 1e-12, exact=False)
     assert not values_agree(1.0, 1.001, exact=False)
+
+
+def test_float_sides_without_significant_digits_never_agree():
+    tiny = sys.float_info.min
+    assert values_agree(tiny, tiny, exact=False)
+    for left, right in ((0.0, 0.0), (tiny / 2, tiny / 2), (0.0, -5e-324), (0j, 0j)):
+        assert not values_agree(left, right, exact=False)
+    # the padded permanent and the determinant both underflow to 0.0 here,
+    # while the subset sum of Cauchy permanents is 6.75e-301
+    assert not boson_sum_determinant((1e300, 2e300, 5.0), (0.0, 1.0)).holds
