@@ -152,16 +152,17 @@ def quad_jacobian(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
 
 
 def _newton(residual, jacobian, x0):
+    """Damped Newton from ``x0``; returns the last iterate and its max |residual|."""
     x = np.array(x0)
     r = residual(x)
     best = np.max(np.abs(r))
     for _ in range(200):
         if best < RESIDUAL_TOL:
-            return x, True
+            break
         try:
             dx = np.linalg.solve(jacobian(x), -r)
         except np.linalg.LinAlgError:
-            return x, False
+            break
         step = 1.0
         for _ in range(30):
             xn = x + step * dx
@@ -172,8 +173,8 @@ def _newton(residual, jacobian, x0):
                 break
             step *= 0.5
         else:
-            return x, False
-    return x, bool(best < RESIDUAL_TOL)
+            break
+    return x, float(best)
 
 
 def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
@@ -185,7 +186,8 @@ def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
     to ``model.g`` is geometric: accepted steps end with Newton residual
     below :data:`RESIDUAL_TOL`, failed steps retry from ``extra_seeds(x)``
     and then halve the path increment, at most :data:`MAX_STEP_HALVINGS`
-    times in total.
+    times in total.  A failure raises :class:`NoConvergence` with the
+    coupling reached, the last Newton residual and the halvings spent.
     """
     def newton_at(g, x):
         return _newton(lambda v: residual(v, g), lambda v: jacobian(v, g), x)
@@ -193,9 +195,10 @@ def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
     g0 = model.g
     while abs(g0) > START_GAP_FRACTION * model.min_gap:
         g0 /= 2
-    x, ok = newton_at(g0, seed(g0))
-    if not ok:
-        raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}", g_reached=g0)
+    x, res = newton_at(g0, seed(g0))
+    if not res < RESIDUAL_TOL:
+        raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}",
+                            g_reached=g0, residual=res)
     if g0 == model.g:
         return x
     ratio = model.g / g0
@@ -205,12 +208,11 @@ def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
         u_next = min(u + du, 1.0)
         g = g0 * ratio ** u_next
         seeds = [x] + (extra_seeds(x) if extra_seeds is not None else [])
-        converged = False
         for start in seeds:
-            xn, converged = newton_at(g, start)
-            if converged:
+            xn, res = newton_at(g, start)
+            if res < RESIDUAL_TOL:
                 break
-        if converged:
+        if res < RESIDUAL_TOL:
             u, x = u_next, xn
             du = min(du * 2, du0)
         else:
@@ -219,7 +221,8 @@ def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
             if halvings > MAX_STEP_HALVINGS:
                 g_reached = g0 * ratio ** u
                 raise NoConvergence(
-                    f"continuation stalled at g = {g_reached:.6g}", g_reached=g_reached)
+                    f"continuation stalled at g = {g_reached:.6g}",
+                    g_reached=g_reached, residual=res, halvings=halvings)
     return x
 
 

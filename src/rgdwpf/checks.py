@@ -6,17 +6,18 @@ how one proves equality of rational functions with only simple poles:
 * residue recursions: the residue of Z at a pole of its last rapidity
   must reproduce the partition function of a reduced system (first spin
   lowered by 1/2, or a spin-1/2 removed);
-* vanishing at infinity: scaling all rapidities up must drive |Z| to
-  zero, and the rapidity-independent limit matrix must be singular;
+* vanishing at infinity: Z must vanish as its last rapidity grows, and
+  the rapidity-independent limit matrix must be singular;
 * the randomized identity sweep: permanent route == determinant route on
   seeded random instances, with exact rational equality in exact mode.
 
-Residues are extracted exactly by partial fractions: as a function of its
-last rapidity, Z is a sum of simple poles at the inhomogeneities with no
-polynomial part, so N exact samples determine all residues in closed form
-(Lagrange interpolation of the numerator over the common denominator).  A
-shrinking-offset probe independently confirms the first-order approach to
-the same residue.
+The first two rest on one exact certificate in the last rapidity x.  Every
+entry of J is affine in 1/(x - e) for one inhomogeneity e and bounded as
+x -> infinity, so P(x) = Z(x) B(x), with B(x) = prod_j (x - eps_j), has
+degree <= N.  N + 1 exact samples fix P by Lagrange interpolation, and one
+more must agree with it: that confirms the bound, so every pole of Z is
+simple.  Z at infinity is the x^N coefficient of P (the sum of the
+Lagrange weights), which must be 0; the residues are P(eps_j) / B'(eps_j).
 """
 
 import random
@@ -36,11 +37,6 @@ from .partition import (
     z_determinant,
     z_permanent,
 )
-
-#: Exact probe offsets used inside the residue checks.
-PROBE_OFFSETS = (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13))
-#: Rapidity scalings under which |Z| must decrease in the infinity-limit check.
-LIMIT_SCALES = (10 ** 3, 10 ** 6)
 
 
 @dataclass(frozen=True)
@@ -62,34 +58,47 @@ class CheckReport:
     detail: str = ""
 
 
-def _mode_of(values) -> str:
-    return "exact" if all(is_exact(v) for v in values) else "f64"
+def _pole_certificate(system: SpinSystem, nu_prefix: tuple) -> tuple:
+    """(residues at every inhomogeneity, x^N coefficient of P, extra sample agrees).
+
+    Samples P(x) = Z(prefix + (x,)) B(x) at the N + 1 nodes max(eps) + 1 + k
+    and at max(eps) + N + 2: N + 2 exact ``z_determinant`` calls.
+    """
+    if len(nu_prefix) != system.omega - 1:
+        raise CardinalityMismatch(
+            f"need {system.omega - 1} prefix rapidities, got {len(nu_prefix)}")
+    if not all(is_exact(v) for v in nu_prefix + system.epsilons):
+        raise ValueError("pole certificates are exact-only: pass int or Fraction values")
+    eps = system.epsilons
+    top = max(eps)
+    nodes = [top + 1 + k for k in range(system.n + 1)]
+
+    def p(x):
+        return z_determinant(system, nu_prefix + (x,)).value * prod(x - e for e in eps)
+
+    # P at each node, divided by that node's Lagrange denominator
+    weights = [p(x) / prod(x - y for y in nodes if y != x) for x in nodes]
+
+    def interpolant(t):
+        return sum(w * prod(t - y for y in nodes if y != x) for x, w in zip(nodes, weights))
+
+    residues = [interpolant(e) / prod(e - f for f in eps if f != e) for e in eps]
+    extra = top + system.n + 2
+    return residues, sum(weights), interpolant(extra) == p(extra)
+
+
+def _certificate_detail(top_coefficient, agrees: bool) -> str:
+    return (f"x^N coefficient of Z*B = {top_coefficient}; "
+            f"extra sample {'agrees' if agrees else 'disagrees'}")
 
 
 def pole_residues(system: SpinSystem, nu_prefix) -> list:
     """Residues of Z at every inhomogeneity, as a function of one extra rapidity.
 
-    With the prefix rapidities held fixed, x -> Z(prefix + [x]) equals
-    sum_j R_j / (x - eps_j), so Z(x) B(x) = P(x) with B = prod_j (x - eps_j)
-    and deg P < N.  Sampling Z at N points beyond the largest
-    inhomogeneity fixes P by Lagrange interpolation, and
-    R_j = P(eps_j) / B'(eps_j): exact in exact mode, with no elimination.
+    R_j = P(eps_j) / B'(eps_j) from the pole certificate (module docstring).
+    Raises ``ValueError`` for float or complex input.
     """
-    nu_prefix = tuple(nu_prefix)
-    if len(nu_prefix) != system.omega - 1:
-        raise CardinalityMismatch(
-            f"need {system.omega - 1} prefix rapidities, got {len(nu_prefix)}")
-    eps = system.epsilons
-    top = max(eps)
-    xs = [top + 1 + k for k in range(system.n)]
-    # P at each node, divided by that node's Lagrange denominator
-    weights = [z_determinant(system, nu_prefix + (x,)).value * prod(x - e for e in eps)
-               / prod(x - y for y in xs if y != x) for x in xs]
-    residues = []
-    for e in eps:
-        p_at_e = sum(w * prod(e - y for y in xs if y != x) for x, w in zip(xs, weights))
-        residues.append(p_at_e / prod(e - f for f in eps if f != e))
-    return residues
+    return _pole_certificate(system, tuple(nu_prefix))[0]
 
 
 def _residue_target(system: SpinSystem, nu_prefix, pole_spin: int):
@@ -101,53 +110,24 @@ def _residue_target(system: SpinSystem, nu_prefix, pole_spin: int):
     return z_determinant(reduced, nu_prefix).value
 
 
-def residue_probe_gaps(system: SpinSystem, nu_prefix, pole_spin: int = 1,
-                       offsets=PROBE_OFFSETS) -> list:
-    """|t * Z(..., eps_j + t) - residue target| for each probe offset t.
-
-    For a simple pole these gaps shrink proportionally to t.
-    """
-    nu_prefix = tuple(nu_prefix)
-    return _probe_gaps(system, nu_prefix, pole_spin,
-                       _residue_target(system, nu_prefix, pole_spin), offsets)
-
-
-def _probe_gaps(system: SpinSystem, nu_prefix: tuple, pole_spin: int, target, offsets) -> list:
-    pole = system.epsilons[pole_spin - 1]
-    return [abs(t * z_determinant(system, nu_prefix + (pole + t,)).value - target)
-            for t in offsets]
-
-
 def _residue_reports(system: SpinSystem, nu_prefix, poles) -> list:
-    """Residue checks at the given 1-based poles from one partial-fraction solve."""
+    """Residue checks at the given 1-based poles from one pole certificate."""
     if 1 in poles and system.two_s < 1:
         raise CardinalityMismatch("first spin must carry at least two_s = 1")
     if max(poles) > 1 and system.n < 3 and not (system.n == 2 and system.two_s == 1):
         raise CardinalityMismatch(
             "removing the spin would leave an unsupported single higher spin")
     nu_prefix = tuple(nu_prefix)
-    residues = pole_residues(system, nu_prefix)
-    mode = _mode_of(nu_prefix + system.epsilons)
+    residues, top_coefficient, agrees = _pole_certificate(system, nu_prefix)
     reports = []
     for j in poles:
         residue = residues[j - 1]
         target = _residue_target(system, nu_prefix, j)
-        holds = values_agree(residue, target, mode == "exact")
-        if j == 1:
-            gaps = _probe_gaps(system, nu_prefix, 1, target, PROBE_OFFSETS)
-            # net decrease over the probe range, not stepwise: the subleading
-            # correction can cross zero between two fixed offsets, dipping the
-            # middle gap below the last one even though the residue is exact
-            approaching = gaps[-1] < gaps[0]
-            reports.append(CheckReport(
-                check="residue_eps1", two_s=system.two_s, n=system.n, trial=0,
-                left=residue, right=target, holds=holds and approaching, mode=mode,
-                detail=f"probe gaps {[float(g) for g in gaps]}"))
-        else:
-            reports.append(CheckReport(
-                check="residue_epsj", two_s=system.two_s, n=system.n, trial=j,
-                left=residue, right=target, holds=holds, mode=mode,
-                detail=f"pole at spin {j}"))
+        reports.append(CheckReport(
+            check="residue_eps1" if j == 1 else "residue_epsj", two_s=system.two_s,
+            n=system.n, trial=0 if j == 1 else j, left=residue, right=target,
+            holds=residue == target and top_coefficient == 0 and agrees, mode="exact",
+            detail=f"pole at spin {j}; {_certificate_detail(top_coefficient, agrees)}"))
     return reports
 
 
@@ -155,8 +135,9 @@ def check_residue_eps1(system: SpinSystem, nu_prefix) -> CheckReport:
     """Residue at the large-spin inhomogeneity vs the spin-lowered system.
 
     The exact partial-fraction residue must equal two_s times the
-    partition function with the first spin lowered by 1/2 and the probe
-    gaps must shrink as the offset does.
+    partition function with the first spin lowered by 1/2, and the pole
+    certificate must hold (x^N coefficient 0, extra sample agrees).
+    Raises ``ValueError`` for float or complex input.
     """
     return _residue_reports(system, nu_prefix, [1])[0]
 
@@ -164,10 +145,8 @@ def check_residue_eps1(system: SpinSystem, nu_prefix) -> CheckReport:
 def check_residue_epsj(system: SpinSystem, nu_prefix, j: int) -> CheckReport:
     """Residue at a spin-1/2 inhomogeneity vs the system with that spin removed.
 
-    Decided by the exact partial-fraction residue alone: an interior pole
-    has close neighbours on both sides, so coarse one-sided probes are not
-    reliably monotone there (use :func:`residue_probe_gaps` for
-    diagnostics).
+    Holds under the same pole certificate as :func:`check_residue_eps1`.
+    Raises ``ValueError`` for float or complex input.
     """
     if not 2 <= j <= system.n:
         raise CardinalityMismatch(f"spin index {j} outside 2..{system.n}")
@@ -175,18 +154,21 @@ def check_residue_epsj(system: SpinSystem, nu_prefix, j: int) -> CheckReport:
 
 
 def check_infinity_limit(system: SpinSystem, nu) -> CheckReport:
-    """|Z| must decrease under rapidity scaling and the limit matrix must be singular."""
-    nu = tuple(nu)
-    mode = _mode_of(nu + system.epsilons)
-    magnitudes = [abs(z_determinant(system, tuple(v * t for v in nu)).value)
-                  for t in LIMIT_SCALES]
-    decreasing = all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
+    """Z must vanish as its last rapidity grows; the limit matrix must be singular.
+
+    Runs the pole certificate on ``nu[:-1]``: ``left`` is the x^N
+    coefficient of P = Z B (Z at x = infinity), ``right`` is 0.  Holds iff
+    it is 0, the extra sample agrees and ``build_J_limit`` is exactly
+    singular.  Raises ``ValueError`` for float or complex input.
+    """
+    _, top_coefficient, agrees = _pole_certificate(system, tuple(nu)[:-1])
     det_limit = determinant(build_J_limit(system))
-    limit_zero = det_limit == 0 if mode == "exact" else abs(det_limit) < 1e-9
     return CheckReport(check="infinity_limit", two_s=system.two_s, n=system.n, trial=0,
-                       left=magnitudes[0], right=magnitudes[-1],
-                       holds=decreasing and limit_zero, mode=mode,
-                       detail=f"det of limit matrix = {det_limit}")
+                       left=top_coefficient, right=Fraction(0),
+                       holds=top_coefficient == 0 and agrees and det_limit == 0,
+                       mode="exact",
+                       detail=f"det of limit matrix = {det_limit}; "
+                              f"{_certificate_detail(top_coefficient, agrees)}")
 
 
 def identity_sweep(grid, trials: int = 20, seed: int = 0, mode: str = "exact") -> list:
@@ -231,6 +213,7 @@ def residue_sweep(grid, trials: int = 5, seed: int = 0) -> list:
 
 
 def limit_sweep(grid, trials: int = 5, seed: int = 0) -> list:
+    """Exact infinity-limit checks (:func:`check_infinity_limit`) on random instances."""
     rng = random.Random(seed)
     reports = []
     for two_s, n in grid:

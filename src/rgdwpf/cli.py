@@ -145,7 +145,8 @@ def _build_parser() -> _Parser:
                         help="extra rapidities for the boson suite")
     verify.add_argument("--trials", type=_TRIALS, default=20)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--mode", choices=("exact", "f64"), default="exact")
+    verify.add_argument("--mode", choices=("exact", "f64"), default="exact",
+                        help="f64 is for the identity suite only; the others are exact-only")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--out")
 
@@ -198,6 +199,8 @@ def _cmd_pf(args) -> tuple:
 
 def _cmd_verify(args) -> tuple:
     suite = args.suite
+    if suite != "identity" and args.mode != "exact":
+        raise _UsageError(f"suite {suite!r} is exact-only; only 'identity' takes --mode f64")
     if suite in ("identity", "residues", "limit"):
         if args.two_s is None or args.n is None:
             raise _UsageError(f"suite {suite!r} needs --two-s and --n")
@@ -305,7 +308,8 @@ def run(argv) -> int:
         _emit({"error": {"kind": "usage", "detail": str(exc)}}, None)
         return EXIT_USAGE
     except (NoConvergence, NonFiniteEntry) as exc:
-        _emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}}, None)
+        # attributes carry the state reached (NoConvergence: g_reached, residual, halvings)
+        _emit({"error": {"kind": type(exc).__name__, "detail": str(exc), **vars(exc)}}, None)
         return EXIT_NUMERICAL
     except RGError as exc:
         _emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}}, None)

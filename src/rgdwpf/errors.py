@@ -36,9 +36,14 @@ class CostGuard(RGError):
 class NoConvergence(RGError):
     """Newton/homotopy continuation failed to reach the target coupling.
 
-    The coupling reached before giving up is stored in ``g_reached``.
+    ``g_reached`` is the coupling reached before giving up, ``residual``
+    the max |residual| of the last Newton solve and ``halvings`` the
+    number of continuation step halvings spent.
     """
 
-    def __init__(self, message: str, g_reached: float | None = None):
+    def __init__(self, message: str, g_reached: float | None = None,
+                 residual: float | None = None, halvings: int = 0):
         super().__init__(message)
         self.g_reached = g_reached
+        self.residual = residual
+        self.halvings = halvings

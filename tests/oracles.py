@@ -6,7 +6,8 @@ permutation sums, the partition function by its defining attachment sum,
 determinants by cofactor expansion and by fraction-free (Bareiss)
 elimination on big integers, the hierarchy by exact polynomial
 differentiation of the rapidity polynomial and by the explicit partition
-sum over exponent vectors.
+sum over exponent vectors.  The residue probe samples ``z_determinant``
+next to a pole: it checks the order of the pole, not the determinant.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from math import factorial, lcm
 
 from rgdwpf.errors import InsufficientDerivatives
 from rgdwpf.gamma import LambdaDerivTable
+from rgdwpf.partition import SpinSystem, z_determinant
 
 
 def perm_by_permutation_sum(rows):
@@ -208,6 +210,19 @@ def gamma_explicit(lam: LambdaDerivTable, n: int):
                 term *= lam.values[a] ** ka
         total += term
     return -total
+
+
+def residue_probe_gaps(system, nu_prefix, offsets):
+    """|t * Z(prefix + (eps_1 + t,)) - 2S * Z_lowered(prefix)| for each probe offset t.
+
+    The gaps shrink in proportion to t at a simple pole at eps_1 whose
+    residue is 2S times Z of the system with the first spin lowered by 1/2.
+    """
+    nu_prefix = tuple(nu_prefix)
+    target = system.two_s * z_determinant(SpinSystem(system.two_s - 1, system.epsilons),
+                                          nu_prefix).value
+    return [abs(t * z_determinant(system, nu_prefix + (system.epsilons[0] + t,)).value - target)
+            for t in offsets]
 
 
 def rand_fraction(rng, lo=-999, hi=999, qmax=64):

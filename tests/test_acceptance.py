@@ -22,11 +22,7 @@ from rgdwpf.bethe import (
     solve_quadratic_bethe,
     solve_richardson,
 )
-from rgdwpf.checks import (
-    check_residue_eps1,
-    check_residue_epsj,
-    residue_probe_gaps,
-)
+from rgdwpf.checks import check_residue_eps1, check_residue_epsj
 from rgdwpf.errors import CostGuard
 from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
 from rgdwpf.linalg import determinant, permanent
@@ -49,6 +45,7 @@ from oracles import (
     gamma_explicit,
     rand_distinct_fractions,
     rand_fraction,
+    residue_probe_gaps,
     spin_three_half_worked_coefficients,
 )
 
@@ -143,7 +140,7 @@ def test_criterion_06_residue_conditions():
             report = check_residue_eps1(system, prefix)
             assert report.holds
             assert report.left == report.right
-            gaps = residue_probe_gaps(system, prefix, 1, DECADE_OFFSETS)
+            gaps = residue_probe_gaps(system, prefix, DECADE_OFFSETS)
             assert gaps[1] * 10 <= gaps[0]
             assert gaps[2] * 10 <= gaps[1]
             if n >= 3:

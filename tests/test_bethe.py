@@ -214,6 +214,8 @@ class TestSolveRichardson:
             solve_richardson(model, (0, 1))
         assert err.value.g_reached is not None
         assert 0 < abs(err.value.g_reached) < 1.0
+        assert err.value.halvings == 13
+        assert not err.value.residual < bethe.RESIDUAL_TOL
 
 
 class TestDualTransform:

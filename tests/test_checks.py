@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import rgdwpf.checks as checks
 from rgdwpf.checks import (
     borchardt_sweep,
     boson_sweep,
@@ -12,11 +14,12 @@ from rgdwpf.checks import (
     identity_sweep,
     limit_sweep,
     pole_residues,
-    residue_probe_gaps,
     residue_sweep,
 )
 from rgdwpf.errors import CardinalityMismatch
 from rgdwpf.partition import SpinSystem, random_instance, z_determinant
+
+from oracles import residue_probe_gaps
 
 
 def prefix_instance(two_s, n, seed):
@@ -91,7 +94,7 @@ class TestProbeGaps:
     def test_first_order_shrink(self):
         system, prefix = prefix_instance(2, 3, 68)
         ts = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-        gaps = residue_probe_gaps(system, prefix, 1, ts)
+        gaps = residue_probe_gaps(system, prefix, ts)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[1] * 10 <= gaps[0]
         assert gaps[2] * 10 <= gaps[1]
@@ -102,11 +105,59 @@ class TestInfinityLimit:
         system, nu = random_instance(2, 2, random.Random(69))
         report = check_infinity_limit(system, nu)
         assert report.holds
-        assert report.left > report.right
+        assert report.left == report.right == 0
+        magnitudes = [abs(z_determinant(system, tuple(v * t for v in nu)).value)
+                      for t in (10 ** 3, 10 ** 6)]
+        assert magnitudes[0] > magnitudes[1]
 
     def test_spin_half_many_spins(self):
         system, nu = random_instance(1, 3, random.Random(70))
         assert check_infinity_limit(system, nu).holds
+
+
+class TestPoleCertificate:
+    @staticmethod
+    def add_to_z(monkeypatch, system, term):
+        """Add term(x) to Z of ``system`` only, x its last rapidity."""
+        exact = checks.z_determinant
+
+        def mutated(sys_, nu):
+            result = exact(sys_, nu)
+            if sys_ != system:
+                return result
+            return replace(result, value=result.value + term(nu[-1]))
+
+        monkeypatch.setattr(checks, "z_determinant", mutated)
+
+    def test_constant_offset_fails_the_limit(self, monkeypatch):
+        system, nu = random_instance(2, 3, random.Random(78))
+        self.add_to_z(monkeypatch, system, lambda x: Fraction(1, 3))
+        report = check_infinity_limit(system, nu)
+        assert report.left == Fraction(1, 3)
+        assert not report.holds
+        assert not check_residue_eps1(system, nu[:-1]).holds
+
+    def test_double_pole_fails_the_extra_sample(self, monkeypatch):
+        system, prefix = prefix_instance(2, 3, 79)
+        e2 = system.epsilons[1]
+        self.add_to_z(monkeypatch, system, lambda x: Fraction(1, 5) / (x - e2) ** 2)
+        for report in (check_residue_eps1(system, prefix),
+                       check_residue_epsj(system, prefix, 2)):
+            assert not report.holds
+            assert "extra sample disagrees" in report.detail
+
+    def test_inexact_input_rejected(self):
+        system, nu = random_instance(2, 3, random.Random(80))
+        for convert in (float, lambda v: complex(v, 1)):
+            inexact = SpinSystem(two_s=2, epsilons=tuple(convert(e) for e in system.epsilons))
+            nu_inexact = tuple(convert(v) for v in nu)
+            prefix = nu_inexact[:-1]
+            for call in (lambda: pole_residues(inexact, prefix),
+                         lambda: check_residue_eps1(inexact, prefix),
+                         lambda: check_residue_epsj(inexact, prefix, 2),
+                         lambda: check_infinity_limit(inexact, nu_inexact)):
+                with pytest.raises(ValueError):
+                    call()
 
 
 class TestIdentitySweep:

@@ -171,6 +171,13 @@ class TestVerify:
             assert code == 1
             assert doc["error"]["kind"] == "usage"
 
+    def test_exact_only_suites_refuse_float_mode(self, capsys):
+        for suite in ("residues", "limit", "borchardt", "boson"):
+            code, doc = run_json(capsys, ["verify", "--suite", suite, "--two-s", "2",
+                                          "--n", "3", "--trials", "1", "--mode", "f64"])
+            assert code == 1
+            assert doc["error"]["kind"] == "usage"
+
     def test_failed_checks_exit_code(self, capsys, monkeypatch):
         import rgdwpf.checks as checks
         from rgdwpf.checks import CheckReport
@@ -239,6 +246,21 @@ class TestBethe:
                                       "--occupation", "10"])
         assert code == 1
         assert doc["error"]["kind"] == "usage"
+
+    def test_stall_reports_the_state_reached(self, capsys, monkeypatch):
+        import rgdwpf.bethe as bethe
+
+        # as in test_bethe: no complex reseeding, so the pair collision stalls
+        monkeypatch.setattr(bethe, "_pair_rotations", lambda lams: [])
+        monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
+        code, doc = run_json(capsys, ["bethe", "--g", "1", "--eps", "0,1,2,3",
+                                      "--occupation", "1100", "--route", "richardson"])
+        assert code == 3
+        err = doc["error"]
+        assert err["kind"] == "NoConvergence"
+        assert 0 < err["g_reached"] < 1.0
+        assert err["halvings"] == 13
+        assert not err["residual"] < bethe.RESIDUAL_TOL
 
     def test_non_finite_coupling_is_usage_error(self, capsys):
         for g in ("nan", "inf", "-inf"):
