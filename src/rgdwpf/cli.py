@@ -13,6 +13,7 @@ usage error, 2 check failure, 3 numerical failure.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -49,13 +50,15 @@ def _parse_exact(text: str) -> Fraction:
 def _parse_f64(text: str):
     text = text.strip()
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return complex(text)
-    except ValueError:
-        raise _UsageError(f"not a float/complex number: {text!r}")
+        value = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):  # complex("1e400") is inf
+        try:
+            value = complex(text)
+        except ValueError:
+            value = None
+    if value is None or not cmath.isfinite(value):
+        raise _UsageError(f"not a finite float/complex number: {text!r}")
+    return value
 
 
 def _parse_scalar(text: str, mode: str):
@@ -141,8 +144,8 @@ def _build_parser() -> _Parser:
                         choices=("identity", "residues", "limit", "borchardt", "boson"))
     verify.add_argument("--two-s", type=_TWO_S)
     verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int, default=1,
-                        help="extra rapidities for the boson suite")
+    verify.add_argument("--m", type=int,
+                        help="extra rapidities for the boson suite (default 1)")
     verify.add_argument("--trials", type=_TRIALS, default=20)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--mode", choices=("exact", "f64"), default="exact",
@@ -197,30 +200,34 @@ def _cmd_pf(args) -> tuple:
     return code, doc
 
 
+#: The size flags each verify suite takes, all required but the boson suite's --m (default 1).
+_SUITE_FLAGS = {"identity": {"--two-s", "--n"}, "residues": {"--two-s", "--n"},
+                "limit": {"--two-s", "--n"}, "borchardt": {"--n"}, "boson": {"--n", "--m"}}
+
+
 def _cmd_verify(args) -> tuple:
     suite = args.suite
     if suite != "identity" and args.mode != "exact":
         raise _UsageError(f"suite {suite!r} is exact-only; only 'identity' takes --mode f64")
-    if suite in ("identity", "residues", "limit"):
-        if args.two_s is None or args.n is None:
-            raise _UsageError(f"suite {suite!r} needs --two-s and --n")
-        grid = [(args.two_s, args.n)]
-        if suite == "identity":
-            reports = checks.identity_sweep(grid, trials=args.trials,
-                                            seed=args.seed, mode=args.mode)
-        elif suite == "residues":
-            reports = checks.residue_sweep(grid, trials=args.trials, seed=args.seed)
-        else:
-            reports = checks.limit_sweep(grid, trials=args.trials, seed=args.seed)
+    given = {flag for flag, value in (("--two-s", args.two_s), ("--n", args.n), ("--m", args.m))
+             if value is not None}
+    takes = _SUITE_FLAGS[suite]
+    if not takes - {"--m"} <= given <= takes:
+        raise _UsageError(f"suite {suite!r} takes {' '.join(sorted(takes))}, "
+                          f"got {' '.join(sorted(given)) or 'none'}")
+    grid = [(args.two_s, args.n)]
+    if suite == "identity":
+        reports = checks.identity_sweep(grid, trials=args.trials,
+                                        seed=args.seed, mode=args.mode)
+    elif suite == "residues":
+        reports = checks.residue_sweep(grid, trials=args.trials, seed=args.seed)
+    elif suite == "limit":
+        reports = checks.limit_sweep(grid, trials=args.trials, seed=args.seed)
     elif suite == "borchardt":
-        if args.n is None:
-            raise _UsageError("suite 'borchardt' needs --n")
         reports = checks.borchardt_sweep([args.n], trials=args.trials, seed=args.seed)
     else:
-        if args.n is None:
-            raise _UsageError("suite 'boson' needs --n (and --m for extra rapidities)")
-        reports = checks.boson_sweep([(args.n, args.m)], trials=args.trials,
-                                     seed=args.seed)
+        extra = 1 if args.m is None else args.m
+        reports = checks.boson_sweep([(args.n, extra)], trials=args.trials, seed=args.seed)
     passed = sum(r.holds for r in reports)
     failed = len(reports) - passed
     doc = {"schema": SCHEMA, "command": "verify", "suite": suite,
@@ -261,7 +268,9 @@ def _cmd_coeffs(args) -> tuple:
 
 
 def _cmd_bethe(args) -> tuple:
-    eps = tuple(float(x) for x in _parse_csv(args.eps, "f64"))
+    eps = _parse_csv(args.eps, "f64")
+    if any(isinstance(x, complex) for x in eps):
+        raise _UsageError(f"levels must be real, got {args.eps!r}")
     occupation = _parse_occupation(args.occupation)
     if len(occupation) != len(eps):
         raise _UsageError("occupation length must match the number of levels")

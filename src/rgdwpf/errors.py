@@ -5,10 +5,6 @@ class RGError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionTooLarge(RGError):
-    """Matrix dimension exceeds the cost guard of an exponential kernel."""
-
-
 class NonFiniteEntry(RGError):
     """A float-mode value is NaN/Inf on entry, or a kernel overflowed to one."""
 
@@ -30,7 +26,7 @@ class DegenerateEpsilons(RGError):
 
 
 class CostGuard(RGError):
-    """Refused: the requested exponential-cost computation exceeds the size guard."""
+    """Refused: a permanent's terms or an exact determinant's primes exceed their guard."""
 
 
 class NoConvergence(RGError):

@@ -12,9 +12,10 @@ The permanent uses Glynn's formula (Eur. J. Combin. 31 (2010) 1887) over
 classes of equal columns: flipping the sign of k of a class's m copies
 adds (m - 2k) times the column to the row sums in comb(m, k) ways (R. Kan,
 J. Multivariate Anal. 99 (2008) 542), and single columns are walked in
-Gray-code order, about prod(m + 1) / 2 products of n row sums in all.
-In exact mode rows are rescaled to integers first so the inner loop runs
-on machine/big ints instead of Fractions.
+Gray-code order, about prod(m + 1) / 2 products of n row sums in all:
+that work, not the dimension, is what :func:`permanent` guards.  In exact
+mode rows are rescaled to integers first so the inner loop runs on
+machine/big ints instead of Fractions.
 
 The exact determinant is multimodular (von zur Gathen and Gerhard, *Modern
 Computer Algebra*, ch. 5): numpy int64 elimination modulo enough primes
@@ -32,12 +33,13 @@ from math import comb, isfinite, isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NonFiniteEntry
+from .errors import CostGuard, NonFiniteEntry
 
 Scalar = Fraction | int | float | complex
 
-#: The permanent refuses above this dimension (2^19 sign vectors is already ~5e5).
-RYSER_MAX_DIM = 20
+#: Largest n * prod(m + 1), m over the column classes left once one copy is fixed, that the
+#: permanent admits: the work of a 20 x 20 permanent of distinct columns.
+PERMANENT_MAX_TERMS = 20 << 19
 
 #: The exact determinant eliminates modulo primes below this, so that the
 #: division-free update piv * a - c * d of residues stays below 2^62.
@@ -138,18 +140,19 @@ def _int_rows_and_scale(m: SquareMatrix):
 def permanent(m: SquareMatrix) -> Scalar:
     """Permanent by Glynn's formula over classes of equal columns.
 
-    Exact mode returns the exact rational.  Raises
-    :class:`DimensionTooLarge` above dim 20 and :class:`NonFiniteEntry`
-    for non-finite float input or an overflowed result.
+    Exact mode returns the exact rational.  Raises :class:`CostGuard` above
+    ``PERMANENT_MAX_TERMS`` row-sum terms and :class:`NonFiniteEntry` for
+    non-finite float input or an overflowed result.
     """
     n = m.dim
-    if n > RYSER_MAX_DIM:
-        raise DimensionTooLarge(f"permanent of dim {n} > {RYSER_MAX_DIM} refused")
     if m.exact:
         rows, scale = _int_rows_and_scale(m)
         return Fraction(_glynn(rows), scale << (n - 1))
     _require_finite(m)
-    result = _glynn(m.entries) / (1 << (n - 1))
+    try:
+        result = _glynn(m.entries) / (1 << (n - 1))
+    except OverflowError:  # a binomial weight too large for a float
+        result = float("inf")
     if not _finite(result):
         raise NonFiniteEntry("permanent overflowed to a non-finite value")
     return result
@@ -160,6 +163,9 @@ def _glynn(rows):
     classes = Counter(zip(*rows))
     fixed = min(classes, key=classes.get)
     classes[fixed] -= 1
+    terms = len(rows) * prod(mult + 1 for mult in classes.values())
+    if terms > PERMANENT_MAX_TERMS:
+        raise CostGuard(f"permanent refused: {terms} row-sum terms > {PERMANENT_MAX_TERMS}")
     singles = [col for col, mult in classes.items() if mult == 1]
     repeated = [(col, mult) for col, mult in classes.items() if mult > 1]
     to_sign = [(tuple(2 * x for x in col), tuple(-2 * x for x in col)) for col in singles]
@@ -232,7 +238,7 @@ def _det_multimodular(m: SquareMatrix) -> Fraction:
         primes.append(q)
         modulus *= q
     else:
-        raise DimensionTooLarge("Hadamard bound exceeds the primes below 2^31")
+        raise CostGuard("Hadamard bound exceeds the primes below 2^31")
     limbs, signs = _limbs([x for row in rows for x in row])
     del rows  # the limbs hold the entries from here on; free the big ints
     blocks = []  # (det mod the block's product of primes, that product)

@@ -9,7 +9,7 @@ routes:
   matrix whose column 1/(nu - eps_1) repeats two_s times, i.e. the
   defining sum over all ways of attaching two_s rapidities to the first
   inhomogeneity and bijecting the rest onto the others; (two_s + 1) *
-  2^(N-2) products of Omega row sums, guarded at Omega <= 14;
+  2^(N-2) products of Omega row sums, under the work guard of ``linalg.permanent``;
 * the determinant route: an N x N matrix contracted from structure
   coefficients (multiset sums over the inhomogeneities) and the
   log-derivative hierarchy of the rapidity polynomial; polynomial in N
@@ -30,7 +30,6 @@ from statistics import fmean
 
 from .errors import (
     CardinalityMismatch,
-    CostGuard,
     DegenerateEpsilons,
     PoleAtEvaluationPoint,
 )
@@ -44,11 +43,6 @@ from .linalg import (
     permanent,
     values_agree,
 )
-
-#: The permanent route refuses systems with more rapidities than this.
-PERMANENT_MAX_OMEGA = 14
-#: The sum-of-permanents identity check refuses larger rapidity sets.
-BOSON_MAX_RAPIDITIES = 12
 
 
 @dataclass(frozen=True)
@@ -136,15 +130,12 @@ def z_permanent(system: SpinSystem, nu) -> PartitionValue:
 
     The column of eps_1 repeats two_s times, so this is the defining sum over
     attachments of two_s rapidities to eps_1; its cost is (two_s + 1) *
-    2^(N-2) products of Omega row sums.
+    2^(N-2) products of Omega row sums, guarded by :func:`linalg.permanent`.
     """
     nu = tuple(canonical(v) for v in nu)
     if len(nu) != system.omega:
         raise CardinalityMismatch(
             f"need {system.omega} rapidities for this system, got {len(nu)}")
-    if system.omega > PERMANENT_MAX_OMEGA:
-        raise CostGuard(
-            f"permanent route refused for omega = {system.omega} > {PERMANENT_MAX_OMEGA}")
     eps = system.epsilons
     _check_no_poles(nu, eps)
     rows = [[1 / (v - eps[0])] * system.two_s + [1 / (v - e) for e in eps[1:]] for v in nu]
@@ -330,9 +321,6 @@ def boson_sum_determinant(nu, eps) -> BosonSumResult:
     """
     nu, eps = tuple(canonical(v) for v in nu), tuple(canonical(e) for e in eps)
     j_tilde = build_J_spin_half(eps, nu)
-    if len(nu) > BOSON_MAX_RAPIDITIES:
-        raise CostGuard(
-            f"subset sum refused for {len(nu)} > {BOSON_MAX_RAPIDITIES} rapidities")
     extra, cauchy = len(nu) - len(eps), [[1 / (v - e) for e in eps] for v in nu]
     # float mode pads with a power of two near the entries' size; ones lose up to 2e-7
     t = 1 if j_tilde.exact else ldexp(1.0, min(64, max(-64, round(fmean(

@@ -85,8 +85,13 @@ def test_criterion_02_higher_spin_identity():
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
+    for two_s, n in [(12, 4), (20, 3), (30, 3), (60, 2)]:
+        for _ in range(2):
+            system, nu = random_instance(two_s, n, rng)
+            assert z_permanent(system, nu).value == z_determinant(system, nu).value
+            checked += 1
     _announce(2, f"higher-spin permanent route == determinant route on {checked} "
-                 f"instances ({elapsed:.2f} s)")
+                 f"instances, 2S up to 60 (grid {elapsed:.2f} s)")
 
 
 def test_criterion_03_spin_half_reduction():
@@ -227,9 +232,11 @@ def test_criterion_11_cost_gap():
     assert elapsed < 1.0
     assert value == value  # finite
 
-    guarded = SpinSystem(two_s=2, epsilons=tuple(Fraction(i) for i in range(14)))
+    guarded = SpinSystem(two_s=2, epsilons=tuple(Fraction(i) for i in range(22)))
     too_many = tuple(Fraction(100 + i) for i in range(guarded.omega))
+    start = time.perf_counter()
     with pytest.raises(CostGuard):
         z_permanent(guarded, too_many)
+    assert time.perf_counter() - start < 0.1  # refused before any sign loop runs
     _announce(11, f"float determinant route at N = 40 took {elapsed * 1000:.0f} ms; "
-                  f"permanent route refused beyond 14 rapidities")
+                  f"permanent route refused by its work guard at 2S = 2, N = 22")

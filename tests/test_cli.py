@@ -178,6 +178,15 @@ class TestVerify:
             assert code == 1
             assert doc["error"]["kind"] == "usage"
 
+    def test_flags_outside_the_suite_are_usage_errors(self, capsys):
+        for argv in (["--suite", "boson", "--n", "3", "--two-s", "7"],
+                     ["--suite", "residues", "--two-s", "2", "--n", "3", "--m", "2"],
+                     ["--suite", "borchardt", "--n", "3", "--m", "1"],
+                     ["--suite", "identity", "--two-s", "1", "--n", "2", "--m", "1"]):
+            code, doc = run_json(capsys, ["verify", *argv, "--trials", "1"])
+            assert code == 1, argv
+            assert doc["error"]["kind"] == "usage"
+
     def test_failed_checks_exit_code(self, capsys, monkeypatch):
         import rgdwpf.checks as checks
         from rgdwpf.checks import CheckReport
@@ -268,6 +277,18 @@ class TestBethe:
                                           "--occupation", "10"])
             assert code == 1
             assert doc["error"]["kind"] == "usage"
+
+
+def test_non_finite_or_complex_floats_are_usage_errors(capsys):
+    for argv in (["pf", "--two-s", "1", "--eps", "0,1", "--nu", "2,inf", "--mode", "f64"],
+                 ["pf", "--two-s", "1", "--eps", "0,1", "--nu", "2,1e400", "--mode", "f64"],
+                 ["pf", "--two-s", "1", "--eps", "0,1", "--nu", "2,nan+1j", "--mode", "f64"],
+                 ["gamma", "--nu", "2,3", "--z", "nan", "--order", "2", "--mode", "f64"],
+                 ["bethe", "--g", "0.5", "--eps", "0,1+1j", "--occupation", "10"],
+                 ["bethe", "--g", "0.5", "--eps", "0,nan", "--occupation", "10"]):
+        code, doc = run_json(capsys, argv)
+        assert code == 1, argv
+        assert doc["error"]["kind"] == "usage"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

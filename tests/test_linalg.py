@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rgdwpf import linalg
-from rgdwpf.errors import DimensionTooLarge, NonFiniteEntry
+from rgdwpf.errors import CostGuard, NonFiniteEntry
 from rgdwpf.gamma import build_gamma_table
 from rgdwpf.linalg import (
     SquareMatrix,
@@ -88,8 +88,11 @@ class TestPermanent:
         assert permanent(SquareMatrix(rows)) == permanent(SquareMatrix(swapped))
 
     def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            permanent(SquareMatrix([[1] * 21 for _ in range(21)]))
+        # the guard counts work, not dimension: 21 equal columns cost 441 terms
+        assert permanent(SquareMatrix([[1] * 21 for _ in range(21)])) == math.factorial(21)
+        with pytest.raises(CostGuard):
+            permanent(SquareMatrix([[Fraction(1, i + j + 1) for j in range(21)]
+                                    for i in range(21)]))
 
     def test_float_mode_agrees_with_exact(self):
         rng = random.Random(104)

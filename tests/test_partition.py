@@ -10,6 +10,7 @@ from rgdwpf.errors import (
     CardinalityMismatch,
     CostGuard,
     DegenerateEpsilons,
+    NonFiniteEntry,
     PoleAtEvaluationPoint,
 )
 from rgdwpf.gamma import build_gamma_table
@@ -116,9 +117,24 @@ class TestZPermanent:
         boson_sum_determinant(rand_distinct_fractions(rng, 5), (0, 1, 2))
         assert calls == [6, 5]
 
+    def test_high_spin_matches_attachment_sum_oracle(self):
+        # one large repeated class is cheap: exact only, since the float
+        # class sum loses digits to cancellation from 2S = 30 on
+        rng = random.Random(39)
+        for two_s, n in [(12, 4), (30, 3), (60, 2)]:
+            system, nu = random_instance(two_s, n, rng)
+            want = z_by_attachment_sum(two_s, system.epsilons, nu)
+            assert z_permanent(system, nu).value == want, (two_s, n)
+
+    def test_float_overflow_is_typed(self):
+        system, nu = random_instance(1100, 2, random.Random(40))
+        eps_f = tuple(float(e) for e in system.epsilons)
+        with pytest.raises(NonFiniteEntry):
+            z_permanent(SpinSystem(1100, eps_f), [float(v) for v in nu])
+
     def test_cost_guard(self):
-        system = SpinSystem(two_s=1, epsilons=tuple(range(15)))
-        nu = tuple(Fraction(1000 + i) for i in range(15))
+        system = SpinSystem(two_s=1, epsilons=tuple(range(22)))
+        nu = tuple(Fraction(1000 + i) for i in range(22))
         with pytest.raises(CostGuard):
             z_permanent(system, nu)
 
@@ -366,8 +382,8 @@ class TestBosonSum:
                     assert math.isclose(got, want, rel_tol=1e-12), (n, extra)
 
     def test_cost_guard(self):
-        eps = tuple(Fraction(i) for i in range(6))
-        nu = tuple(Fraction(100 + i) for i in range(13))
+        eps = tuple(Fraction(i) for i in range(21))
+        nu = tuple(Fraction(100 + i) for i in range(22))
         with pytest.raises(CostGuard):
             boson_sum_determinant(nu, eps)
 
