@@ -177,10 +177,11 @@ def _newton(residual, jacobian, x0):
     return x, float(best)
 
 
-def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
+def _solve_by_continuation(model, equations, seed, extra_seeds=None):
     """Solve at weak coupling, then follow the branch to ``model.g``.
 
-    ``residual`` and ``jacobian`` take ``(x, g)``.  The start g0 is
+    ``equations(g)`` gives the residual and Jacobian at g as functions of
+    the variables x.  The start g0 is
     ``model.g`` halved until |g0| <= :data:`START_GAP_FRACTION` times the
     smallest level gap; Newton starts there from ``seed(g0)``.  The path
     to ``model.g`` is geometric: accepted steps end with Newton residual
@@ -190,7 +191,7 @@ def _solve_by_continuation(model, residual, jacobian, seed, extra_seeds=None):
     coupling reached, the last Newton residual and the halvings spent.
     """
     def newton_at(g, x):
-        return _newton(lambda v: residual(v, g), lambda v: jacobian(v, g), x)
+        return _newton(*equations(g), x)
 
     g0 = model.g
     while abs(g0) > START_GAP_FRACTION * model.min_gap:
@@ -250,16 +251,16 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     if model.m == 0:
         return LambdaVars(values=(0.0,) * model.n)
 
-    # quad_residuals and quad_jacobian are looked up as module globals on
-    # every evaluation, so a wrapped one sees each Newton iteration
-    def residual(v, g):
-        return quad_residuals(LambdaVars(tuple(v)), replace(model, g=g))
-
-    def jacobian(v, g):
-        return quad_jacobian(LambdaVars(tuple(v)), replace(model, g=g))
+    # one model per coupling; quad_residuals and quad_jacobian are looked up
+    # as module globals on every evaluation, so a wrapped one sees each
+    # Newton iteration
+    def equations(g):
+        at_g = replace(model, g=g)
+        return (lambda v: quad_residuals(LambdaVars(tuple(v)), at_g),
+                lambda v: quad_jacobian(LambdaVars(tuple(v)), at_g))
 
     x = _solve_by_continuation(
-        model, residual, jacobian, lambda g0: (2 / g0) * np.asarray(occupation, dtype=float))
+        model, equations, lambda g0: (2 / g0) * np.asarray(occupation, dtype=float))
     return LambdaVars(values=tuple(float(v) for v in x))
 
 
@@ -310,8 +311,8 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     jitter = 1j * 1e-6 * np.array([(k + 1) * (-1) ** k for k in range(model.m)])
     x = _solve_by_continuation(
         model,
-        lambda lam, g: _richardson_residuals_arr(lam, g, eps),
-        lambda lam, g: _richardson_jacobian(lam, g, eps),
+        lambda g: (lambda lam: _richardson_residuals_arr(lam, g, eps),
+                   lambda lam: _richardson_jacobian(lam, g, eps)),
         lambda g0: np.array([model.eps[i] - g0 / 2 for i in levels], dtype=complex) + jitter,
         extra_seeds=lambda lam: [lam + jitter] + _pair_rotations(lam))
     return RapidityState(lambdas=tuple(complex(v) for v in x))

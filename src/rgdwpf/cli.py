@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import bethe, checks, gamma, partition
 from .errors import NoConvergence, NonFiniteEntry, RGError
@@ -127,6 +128,7 @@ def _emit(doc: dict, out_path, fmt: str = "json", reports=None):
         sys.stdout.write(text)
 
 
+@cache  # one parser per process: building it costs more than a small command
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -308,9 +310,8 @@ _COMMANDS = {"pf": _cmd_pf, "verify": _cmd_verify, "gamma": _cmd_gamma,
 
 def run(argv) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         code, _ = _COMMANDS[args.command](args)
         return code
     except _UsageError as exc:

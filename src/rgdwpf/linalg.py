@@ -18,11 +18,12 @@ mode rows are rescaled to integers first so the inner loop runs on
 machine/big ints instead of Fractions.
 
 The exact determinant is multimodular (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 5): numpy int64 elimination modulo enough primes
-below 2^31 for the Hadamard bound, then Chinese remaindering (see
-:func:`determinant`).  Importing the module therefore loads numpy and
-sieves the 6,121 primes just below 2^31 (a few milliseconds).  The float
-determinant is partially pivoted Gaussian elimination.
+Computer Algebra*, ch. 5): numpy float64 elimination modulo enough primes
+below 2^26 for the Hadamard bound, small enough that every product of
+residues is an exact double (Dumas, Giorgi and Pernet, ACM TOMS 35 (2008)
+art. 19), then Chinese remaindering (see :func:`determinant`).  Importing
+the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
+The float determinant is partially pivoted Gaussian elimination.
 """
 
 import sys
@@ -41,15 +42,15 @@ Scalar = Fraction | int | float | complex
 #: permanent admits: the work of a 20 x 20 permanent of distinct columns.
 PERMANENT_MAX_TERMS = 20 << 19
 
-#: The exact determinant eliminates modulo primes below this, so that the
-#: division-free update piv * a - c * d of residues stays below 2^62.
-_PRIME_TOP = 1 << 31
-#: Primes sieved per window; the first window below 2^31 holds 6,121 primes.
+#: The exact determinant eliminates modulo primes below this in float64, where the
+#: update piv * a - c * d of residues stays below 2^51 (see :func:`determinant`).
+_PRIME_TOP = 1 << 26
+#: Primes sieved per window; the first window below 2^26 holds 7,294 primes.
 _WINDOW = 1 << 17
-#: Primes eliminated together as one (block, n, n) int64 array.
+#: Primes eliminated together as one (n, n, block) float64 array.
 _BLOCK = 16
-#: Limbs summed between reductions: 2^15 products below 2^47 stay below 2^63.
-_LIMB_CHUNK = 1 << 15
+#: Limbs summed between reductions: 2^10 products below 2^42, plus a residue, stay below 2^53.
+_LIMB_CHUNK = 1 << 10
 
 
 def is_exact(x) -> bool:
@@ -119,8 +120,8 @@ class SquareMatrix:
         return f"SquareMatrix(dim={self.dim}, {kind})"
 
 
-def _require_finite(m: SquareMatrix):
-    for r in m.entries:
+def _require_finite(rows):
+    for r in rows:
         for x in r:
             if not _finite(x):
                 raise NonFiniteEntry("non-finite entry in float-mode matrix")
@@ -148,7 +149,6 @@ def permanent(m: SquareMatrix) -> Scalar:
     if m.exact:
         rows, scale = _int_rows_and_scale(m)
         return Fraction(_glynn(rows), scale << (n - 1))
-    _require_finite(m)
     try:
         result = _glynn(m.entries) / (1 << (n - 1))
     except OverflowError:  # a binomial weight too large for a float
@@ -163,6 +163,9 @@ def _glynn(rows):
     classes = Counter(zip(*rows))
     fixed = min(classes, key=classes.get)
     classes[fixed] -= 1
+    if not isinstance(fixed[0], int):  # float mode: each distinct column is checked once, and
+        _require_finite(classes)  # a largest weight beyond the floats raises as comb * part would
+        float(prod(comb(mult, mult // 2) for mult in classes.values()))
     terms = len(rows) * prod(mult + 1 for mult in classes.values())
     if terms > PERMANENT_MAX_TERMS:
         raise CostGuard(f"permanent refused: {terms} row-sum terms > {PERMANENT_MAX_TERMS}")
@@ -200,12 +203,12 @@ def _odd_primes(lo: int, hi: int, factors):
     return primes
 
 
-_SMALL_PRIMES = _odd_primes(2, isqrt(_PRIME_TOP) + 1, np.arange(3, 216, 2))
+_SMALL_PRIMES = _odd_primes(2, isqrt(_PRIME_TOP) + 1, np.arange(3, isqrt(isqrt(_PRIME_TOP)) + 1, 2))
 _PRIMES = _odd_primes(_PRIME_TOP - _WINDOW, _PRIME_TOP, _SMALL_PRIMES)
 
 
 def _primes():
-    """Primes below 2^31, descending: the import-time window, then windows sieved on demand."""
+    """Primes below 2^26, descending: the import-time window, then windows sieved on demand."""
     yield from map(int, _PRIMES)
     for hi in range(_PRIME_TOP - _WINDOW, _WINDOW, -_WINDOW):
         yield from map(int, _odd_primes(hi - _WINDOW, hi, _SMALL_PRIMES))
@@ -216,12 +219,18 @@ def determinant(m: SquareMatrix) -> Scalar:
 
     Exact mode returns the exact rational.  Rows are cleared to integers;
     the Hadamard bound |det| <= prod_i |row_i| fixes how many primes below
-    2^31 are needed, one per 31 bits of twice the bound; blocks of 16
-    primes are eliminated as one int64 array and Chinese remaindering gives
-    the integer determinant.  The cost is about n^3 / 3 int64 updates per
-    prime: the J matrix of (2S, N) = (1, 36) needs 251 primes.  Float mode
-    raises :class:`NonFiniteEntry` for non-finite input or an overflowed
-    result.
+    2^26 are needed, one per 26 bits of twice the bound; blocks of 16
+    primes are eliminated together in float64 and Chinese remaindering
+    gives the integer determinant.  After every step residues are brought
+    back into |r| <= p/2 + 1 by r = x - p * rint(x * (1/p)), and every step
+    is exact: each factor of the division-free update piv * a - c * d is at
+    most p/2 + 1, so |update| <= 2 (p/2 + 1)^2 < 2^51; the computed
+    quotient is within 2^-27 of x/p, so |r| <= p/2 + 1 again; q * p and the
+    difference are exact integers in a double; and since |r| < p, a pivot
+    that vanishes modulo p is an exact ``== 0``.  The cost is about n^3 / 3
+    float64 updates per prime: the J matrix of (2S, N) = (1, 36) needs
+    240-300 primes.  Float mode raises :class:`NonFiniteEntry` for
+    non-finite input or an overflowed result.
     """
     if m.exact:
         return _det_multimodular(m)
@@ -238,14 +247,25 @@ def _det_multimodular(m: SquareMatrix) -> Fraction:
         primes.append(q)
         modulus *= q
     else:
-        raise CostGuard("Hadamard bound exceeds the primes below 2^31")
+        raise CostGuard("Hadamard bound exceeds the primes below 2^26")
     limbs, signs = _limbs([x for row in rows for x in row])
     del rows  # the limbs hold the entries from here on; free the big ints
-    blocks = []  # (det mod the block's product of primes, that product)
-    for start in range(0, len(primes), _BLOCK):
-        p = np.array(primes[start:start + _BLOCK], dtype=np.int64)
-        dets = _det_mod(_reduce(limbs, signs, p).reshape(len(p), m.dim, m.dim), p)
-        blocks.append(_crt(dets, p.tolist()))
+    p = np.array(primes, dtype=np.float64)
+    pinv = 1 / p
+    pivots, sign = np.empty((m.dim, len(p))), np.ones(len(p))
+    for b in range(0, len(p), _BLOCK):
+        block = slice(b, b + _BLOCK)
+        _eliminate(_reduce(limbs, signs, p[block], pinv[block]).reshape(m.dim, m.dim, -1),
+                   p[block], pinv[block], pivots[:, block], sign[block])
+    # each step scales the determinant by piv once per row below the pivot, so with
+    # P_k the product of the first k + 1 pivots, det = sign * P_{n-1} / prod_{k<n-1} P_k
+    prefix, denom = np.ones(len(p)), np.ones(len(p))
+    for piv in pivots:
+        denom = _mod(denom * prefix, p, pinv)
+        prefix = _mod(prefix * piv, p, pinv)
+    dets = [int(num) * pow(int(den), -1, q) % q if num else 0
+            for num, den, q in zip((sign * prefix).tolist(), denom.tolist(), primes)]
+    blocks = [_crt(dets[b:b + _BLOCK], primes[b:b + _BLOCK]) for b in range(0, len(p), _BLOCK)]
     det, modulus = _crt([r for r, _ in blocks], [q for _, q in blocks])
     if 2 * det > modulus:
         det -= modulus
@@ -262,68 +282,61 @@ def _crt(residues, moduli):
 
 
 def _limbs(values):
-    """|values| as columns of 16-bit limbs, shape (limbs, len(values)), and their signs."""
+    """|values| as rows of 16-bit limbs, shape (len(values), limbs), and their signs as a column."""
     width = max(abs(x).bit_length() for x in values) // 16 + 1
     buf = b"".join(abs(x).to_bytes(2 * width, "little") for x in values)
-    limbs = np.frombuffer(buf, dtype="<u2").reshape(len(values), width).T.copy()
-    return limbs, np.array([-1 if x < 0 else 1 for x in values], dtype=np.int64)
+    limbs = np.frombuffer(buf, dtype="<u2").reshape(len(values), width)
+    return limbs, np.array([[-1.0 if x < 0 else 1.0] for x in values])
 
 
-def _reduce(limbs, signs, p):
-    """The values modulo each prime of ``p``: shape (len(p), values), entries in [0, p)."""
-    width = len(limbs)
-    powers = np.empty((width, len(p)), dtype=np.int64)  # powers[l] = 2^(16 l) mod p
+def _mod(x, p, pinv):
+    """x - p * rint(x * pinv), in place; exact for float64 integers |x| < 2^53."""
+    q = x * pinv  # the one temporary
+    x -= np.multiply(np.rint(q, out=q), p, out=q)
+    return x
+
+
+def _reduce(limbs, signs, p, pinv):
+    """The values modulo each prime of ``p``: float64 (values, len(p)), |entries| <= p/2 + 1."""
+    width = limbs.shape[1]
+    q = p.astype(np.int64)
+    powers = np.empty((width, len(p)), dtype=np.int64)  # powers[l] = 2^(16 l) mod p, in [0, p)
     powers[0] = 1
     done = 1
     while done < width:
-        step = powers[done - 1] * 65536 % p
+        step = powers[done - 1] * 65536 % q
         more = min(done, width - done)
-        powers[done:done + more] = powers[:more] * step % p
+        powers[done:done + more] = powers[:more] * step % q
         done += more
-    powers = powers.T
-    pb = p[:, None]
-    res = powers[:, :_LIMB_CHUNK] @ limbs[:_LIMB_CHUNK]
-    for c in range(_LIMB_CHUNK, width, _LIMB_CHUNK):
-        res %= pb
-        res += powers[:, c:c + _LIMB_CHUNK] @ limbs[c:c + _LIMB_CHUNK]
+    res = np.zeros((len(limbs), len(p)))
+    for c in range(0, width, _LIMB_CHUNK):  # integer matmul: exact, and no BLAS call
+        res += limbs[:, c:c + _LIMB_CHUNK] @ powers[c:c + _LIMB_CHUNK]
+        _mod(res, p, pinv)
     res *= signs
-    res %= pb
     return res
 
 
-def _det_mod(a, p):
-    """det a[b] mod p[b] for each b, as python ints; ``a`` (B, n, n), entries in [0, p), is overwritten.
+def _eliminate(a, p, pinv, pivots, sign):
+    """Division-free elimination of each a[:, :, b] (n, n, B) modulo p[b], overwriting ``a``.
 
-    Division-free elimination: row_i <- piv * row_i - a_i0 * row_0 scales the
-    determinant by piv once for each row below the pivot, so with P_k the
-    product of the first k + 1 pivots, det = sign * P_{n-1} / prod_{k<n-1} P_k.
-    Each step works on the trailing block as a new contiguous array.
+    Writes the pivots to pivots[:, b] and flips sign[b] per row swap.  Each
+    step builds the trailing block as a new contiguous array; a pivot row is
+    searched for only when some pivot vanishes.
     """
-    every = np.arange(len(p))
-    sign = np.ones(len(p), dtype=np.int64)
-    prefix = np.ones(len(p), dtype=np.int64)
-    denom = np.ones(len(p), dtype=np.int64)
-    while True:
-        r = np.argmax(a[:, :, 0] != 0, axis=1)  # row 0 when the column is zero mod p
-        if r.any():
-            a[every, 0], a[every, r] = a[every, r], a[every, 0]
-            sign[r != 0] *= -1
-        denom = denom * prefix % p
-        prefix = prefix * a[:, 0, 0] % p
-        if a.shape[1] == 1:
-            break
-        a[:, 1:, 1:] *= a[:, :1, :1]
-        rest = a[:, 1:, :1] * a[:, :1, 1:]
-        np.subtract(a[:, 1:, 1:], rest, out=rest)
-        rest %= p[:, None, None]
-        a = rest
-    nums = (sign * prefix % p).tolist()
-    return [num * pow(den, -1, q) % q if num else 0
-            for num, den, q in zip(nums, denom.tolist(), p.tolist())]
+    for k in range(len(a)):
+        if np.count_nonzero(a[0, 0]) < len(p):
+            r = np.argmax(a[:, 0] != 0, axis=0)  # row 0 when the column is zero mod p
+            b = np.flatnonzero(r)
+            a[0, :, b], a[r[b], :, b] = a[r[b], :, b], a[0, :, b]
+            sign[b] = -sign[b]
+        pivots[k] = a[0, 0]  # a copy, so no view keeps an old block alive
+        rest = a[1:, 1:] * pivots[k]  # row_i <- piv * row_i - a_i0 * row_0
+        rest -= a[1:, :1] * a[:1, 1:]
+        a = _mod(rest, p, pinv)
 
 
 def _det_float(m: SquareMatrix):
-    _require_finite(m)
+    _require_finite(m.entries)
     n = m.dim
     rows = [list(r) for r in m.entries]
     det = 1.0

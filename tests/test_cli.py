@@ -297,18 +297,33 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert doc["error"]["kind"] == "usage"
 
 
-def test_module_entry_point_exit_codes():
-    # python -m rgdwpf goes through __main__ and cli.main, which map the
-    # exit code of run() onto the process
+def run_module(argv):
+    """``python -m rgdwpf`` with ``argv`` in a fresh process."""
     env = dict(os.environ)
     src = str(Path(rgdwpf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "rgdwpf", "pf", "--eps", "0,1", "--nu", "2,3,5",
-            "--method", "det"]
-    ok = subprocess.run(argv + ["--two-s", "2"], capture_output=True, text=True,
-                        env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "rgdwpf", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_exit_codes():
+    # python -m rgdwpf goes through __main__ and cli.main, which map the
+    # exit code of run() onto the process
+    argv = ["pf", "--eps", "0,1", "--nu", "2,3,5", "--method", "det"]
+    ok = run_module(argv + ["--two-s", "2"])
     assert ok.returncode == 0, ok.stderr
     assert as_fraction(json.loads(ok.stdout)["value"]) == Fraction(19, 60)
-    bad = subprocess.run(argv + ["--two-s", "-1"], capture_output=True, text=True,
-                         env=env, timeout=120)
+    bad = run_module(argv + ["--two-s", "-1"])
     assert bad.returncode == 1
+
+
+def test_parser_reused_after_a_usage_error(capsys):
+    # the parser is built once per process; a parse that fails inside the
+    # verify subcommand must leave nothing behind for the next run
+    argv = ["verify", "--suite", "identity", "--two-s", "2", "--n", "3", "--trials", "2"]
+    assert run(argv[:-1] + ["0"]) == 1
+    capsys.readouterr()
+    assert run(argv) == 0
+    fresh = run_module(argv)
+    assert fresh.returncode == 0, fresh.stderr
+    assert capsys.readouterr().out == fresh.stdout

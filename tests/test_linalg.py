@@ -200,15 +200,34 @@ class TestExactKernel:
             self.check(rng.sample(h, order))
 
     def test_zero_leading_entry_modulo_the_first_prime(self):
-        # 2^31 - 1 is the largest prime below 2^31, the first the kernel uses;
+        # 67,108,859 is the largest prime below 2^26, the first the kernel uses;
         # modulo it the (1,1) entry vanishes and the pivot row is swapped
         rng = random.Random(112)
         p = int(linalg._PRIMES[0])
-        assert p == 2 ** 31 - 1
+        assert p == 67_108_859
         rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
         rows[0][0] = Fraction(3 * p)
         self.check(rows)
         self.check([[p, 1], [1, 1]])
+
+    def test_residues_at_the_edge_of_the_symmetric_range(self):
+        # every entry is within 2 of +-(p - 1)/2 modulo each prime of the first
+        # block, so the first update piv * a - c * d reaches 2 (p/2)^2, about 2^51
+        rng = random.Random(117)
+        primes = linalg._PRIMES[:linalg._BLOCK].tolist()
+        modulus = math.prod(primes)
+
+        def entry():
+            x = 0
+            for q in primes:
+                r = rng.choice((-1, 1)) * ((q - 1) // 2 - rng.randint(0, 2))
+                rest = modulus // q
+                x += r * rest * pow(rest, -1, q)
+            return x % modulus - modulus // 2
+
+        for n in (2, 5, 8):
+            for _ in range(2):
+                self.check([[entry() for _ in range(n)] for _ in range(n)])
 
     def test_singular_matrices(self):
         rng = random.Random(113)
@@ -237,13 +256,19 @@ class TestExactKernel:
         assert drawn == [x for x in reversed(span) if x % 2 and all(x % d for d in range(3, 46341, 2))]
 
     def test_reduction_of_values_longer_than_one_limb_chunk(self):
+        # all-ones limbs make each chunk's sum as large as it gets: a chunk four
+        # times longer would pass 2^53 and round when converted to float64
         rng = random.Random(116)
-        values = [rng.getrandbits(600_000), -rng.getrandbits(17), 0, -rng.getrandbits(524_300)]
-        primes = linalg._PRIMES[:3].tolist() + [65537]
+        values = [rng.getrandbits(600_000), -rng.getrandbits(17), 0, -rng.getrandbits(524_300),
+                  (1 << 70_000) - 1, -((1 << 16 * 5000) - 1)]
+        primes = linalg._PRIMES[:8].tolist() + [65537]
         limbs, signs = linalg._limbs(values)
-        assert len(limbs) > linalg._LIMB_CHUNK
-        got = linalg._reduce(limbs, signs, np.array(primes, dtype=np.int64))
-        assert got.tolist() == [[x % q for x in values] for q in primes]
+        assert limbs.shape[1] > 4 * linalg._LIMB_CHUNK
+        p = np.array(primes, dtype=np.float64)
+        got = linalg._reduce(limbs, signs, p, 1 / p)
+        for col, q in zip(got.T.tolist(), primes):
+            assert [int(r) % q for r in col] == [x % q for x in values]
+            assert all(abs(r) <= q / 2 + 1 for r in col)
 
 
 def test_values_agree_modes():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -126,11 +127,24 @@ class TestZPermanent:
             want = z_by_attachment_sum(two_s, system.epsilons, nu)
             assert z_permanent(system, nu).value == want, (two_s, n)
 
-    def test_float_overflow_is_typed(self):
+    def test_float_overflow_is_typed(self, monkeypatch):
         system, nu = random_instance(1100, 2, random.Random(40))
         eps_f = tuple(float(e) for e in system.epsilons)
+        elapsed = []
+
+        def timed_permanent(matrix):
+            start = time.perf_counter()
+            try:
+                return permanent(matrix)
+            finally:
+                elapsed.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(partition, "permanent", timed_permanent)
         with pytest.raises(NonFiniteEntry):
             z_permanent(SpinSystem(1100, eps_f), [float(v) for v in nu])
+        # the kernel refuses before its sign loop; building the 1101 x 1101
+        # matrix around it is not part of the refusal
+        assert elapsed[0] < 0.1
 
     def test_cost_guard(self):
         system = SpinSystem(two_s=1, epsilons=tuple(range(22)))
