@@ -5,8 +5,8 @@ Two scalar modes exist and are never mixed inside one matrix:
 * exact mode: python ints and :class:`fractions.Fraction`.  Every result is
   a canonical reduced rational, so identity checks use plain ``==`` with no
   tolerances and are independent of elimination order.
-* float mode: ``float`` / ``complex``.  Kernels reject non-finite entries
-  and report overflow to non-finite results.
+* float mode: ``float`` / ``complex``.  Entries are checked finite once, when
+  a matrix is built; kernels report overflow to non-finite results.
 
 The permanent uses Glynn's formula (Eur. J. Combin. 31 (2010) 1887) over
 classes of equal columns: flipping the sign of k of a class's m copies
@@ -23,14 +23,15 @@ below 2^26 for the Hadamard bound, small enough that every product of
 residues is an exact double (Dumas, Giorgi and Pernet, ACM TOMS 35 (2008)
 art. 19), then Chinese remaindering (see :func:`determinant`).  Importing
 the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
-The float determinant is partially pivoted Gaussian elimination.
+The float determinant is numpy's LAPACK LU with partial pivoting.
 """
 
 import sys
+from cmath import isfinite
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, isfinite, isqrt, lcm, prod
+from math import comb, isqrt, lcm, prod
 
 import numpy as np
 
@@ -77,17 +78,12 @@ def values_agree(left, right, exact: bool) -> bool:
     return abs(left - right) / scale < 1e-9
 
 
-def _finite(x) -> bool:
-    if isinstance(x, complex):
-        return isfinite(x.real) and isfinite(x.imag)
-    return isfinite(x)
-
-
 class SquareMatrix:
     """Immutable dense square matrix over a single scalar mode.
 
     Plain ints are accepted in either mode and coerced; mixing Fractions
-    with floats/complex raises ``TypeError``.
+    with floats/complex raises ``TypeError``, and a non-finite float entry
+    or an int too large for a float raises :class:`NonFiniteEntry`.
     """
 
     __slots__ = ("entries", "dim", "exact")
@@ -97,18 +93,20 @@ class SquareMatrix:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with dim >= 1")
-        has_fraction = any(isinstance(x, Fraction) for r in rows for x in r)
-        has_float = any(isinstance(x, (float, complex)) for r in rows for x in r)
-        if has_fraction and has_float:
+        kinds = {type(x) for r in rows for x in r}
+        self.exact = not any(issubclass(k, (float, complex)) for k in kinds)
+        if not self.exact and any(issubclass(k, Fraction) for k in kinds):
             raise TypeError("exact and float scalars mixed in one matrix")
-        if has_float:
-            self.exact = False
-            self.entries = tuple(tuple(complex(x) if isinstance(x, complex) else float(x)
-                                       for x in r) for r in rows)
-        else:
-            self.exact = True
-            self.entries = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        self.dim = n
+        kept = (Fraction,) if self.exact else (float, complex)
+        if not kinds.issubset(kept):  # kept entries stay the same objects
+            try:
+                rows = tuple(tuple(x if type(x) in kept else _coerce(x, self.exact) for x in r)
+                             for r in rows)
+            except OverflowError:
+                raise NonFiniteEntry("entry too large for a float") from None
+        if not (self.exact or np.isfinite(np.array(rows)).all()):
+            raise NonFiniteEntry("non-finite entry in float-mode matrix")
+        self.entries, self.dim = rows, n
 
     def __eq__(self, other):
         return (isinstance(other, SquareMatrix)
@@ -120,11 +118,8 @@ class SquareMatrix:
         return f"SquareMatrix(dim={self.dim}, {kind})"
 
 
-def _require_finite(rows):
-    for r in rows:
-        for x in r:
-            if not _finite(x):
-                raise NonFiniteEntry("non-finite entry in float-mode matrix")
+def _coerce(x, exact):
+    return Fraction(x) if exact else complex(x) if isinstance(x, complex) else float(x)
 
 
 def _int_rows_and_scale(m: SquareMatrix):
@@ -143,28 +138,27 @@ def permanent(m: SquareMatrix) -> Scalar:
 
     Exact mode returns the exact rational.  Raises :class:`CostGuard` above
     ``PERMANENT_MAX_TERMS`` row-sum terms and :class:`NonFiniteEntry` for
-    non-finite float input or an overflowed result.
+    an overflowed float result.
     """
     n = m.dim
     if m.exact:
         rows, scale = _int_rows_and_scale(m)
-        return Fraction(_glynn(rows), scale << (n - 1))
+        return Fraction(_glynn(rows, exact=True), scale << (n - 1))
     try:
-        result = _glynn(m.entries) / (1 << (n - 1))
+        result = _glynn(m.entries, exact=False) / (1 << (n - 1))
     except OverflowError:  # a binomial weight too large for a float
         result = float("inf")
-    if not _finite(result):
+    if not isfinite(result):
         raise NonFiniteEntry("permanent overflowed to a non-finite value")
     return result
 
 
-def _glynn(rows):
+def _glynn(rows, exact):
     """2^(n-1) perm: sum of prod(d) prod_i sum_j d_j a_ij over signs d fixing one column at +1."""
     classes = Counter(zip(*rows))
     fixed = min(classes, key=classes.get)
     classes[fixed] -= 1
-    if not isinstance(fixed[0], int):  # float mode: each distinct column is checked once, and
-        _require_finite(classes)  # a largest weight beyond the floats raises as comb * part would
+    if not exact:  # a largest weight beyond the floats raises here as comb * part would
         float(prod(comb(mult, mult // 2) for mult in classes.values()))
     terms = len(rows) * prod(mult + 1 for mult in classes.values())
     if terms > PERMANENT_MAX_TERMS:
@@ -215,7 +209,7 @@ def _primes():
 
 
 def determinant(m: SquareMatrix) -> Scalar:
-    """Determinant: multimodular elimination (exact) or partial pivoting (float).
+    """Determinant: multimodular elimination (exact) or numpy's LAPACK LU (float).
 
     Exact mode returns the exact rational.  Rows are cleared to integers;
     the Hadamard bound |det| <= prod_i |row_i| fixes how many primes below
@@ -229,12 +223,17 @@ def determinant(m: SquareMatrix) -> Scalar:
     difference are exact integers in a double; and since |r| < p, a pivot
     that vanishes modulo p is an exact ``== 0``.  The cost is about n^3 / 3
     float64 updates per prime: the J matrix of (2S, N) = (1, 36) needs
-    240-300 primes.  Float mode raises :class:`NonFiniteEntry` for
-    non-finite input or an overflowed result.
+    240-300 primes.  Float mode is numpy's LAPACK LU with partial pivoting
+    on entries checked finite when the matrix was built; it returns a python
+    ``float`` or ``complex`` and raises :class:`NonFiniteEntry` on overflow.
     """
     if m.exact:
         return _det_multimodular(m)
-    return _det_float(m)
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(np.array(m.entries)).item()
+    if not isfinite(det):
+        raise NonFiniteEntry("determinant overflowed to a non-finite value")
+    return det
 
 
 def _det_multimodular(m: SquareMatrix) -> Fraction:
@@ -334,25 +333,3 @@ def _eliminate(a, p, pinv, pivots, sign):
         rest -= a[1:, :1] * a[:1, 1:]
         a = _mod(rest, p, pinv)
 
-
-def _det_float(m: SquareMatrix):
-    _require_finite(m.entries)
-    n = m.dim
-    rows = [list(r) for r in m.entries]
-    det = 1.0
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        if rows[pivot_row][k] == 0:
-            return 0.0 * det
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            det = -det
-        pivot = rows[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            for j in range(k + 1, n):
-                rows[i][j] -= factor * rows[k][j]
-    if not _finite(det):
-        raise NonFiniteEntry("determinant overflowed to a non-finite value")
-    return det

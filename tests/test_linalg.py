@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,25 @@ class TestSquareMatrix:
         f = SquareMatrix([[1, 2.0], [3, 4]])
         assert not f.exact
         assert f.entries[0][0] == 1.0
+
+    def test_entries_of_the_matrix_mode_are_kept(self):
+        half, x, z = Fraction(1, 2), 0.25, 1 + 2j
+        assert SquareMatrix([[half, 1], [2, half]]).entries[1][1] is half
+        f = SquareMatrix([[x, z], [3, x]])
+        assert f.entries[0][0] is x and f.entries[0][1] is z and f.entries[1][1] is x
+        assert type(f.entries[1][0]) is float
+
+    def test_int_too_large_for_a_float_is_typed(self):
+        with pytest.raises(NonFiniteEntry):
+            SquareMatrix([[10 ** 400, 1.0], [0.0, 1.0]])
+        with pytest.raises(NonFiniteEntry):
+            SquareMatrix([[-10 ** 400, 1j], [0.0, 1.0]])
+        assert SquareMatrix([[10 ** 400, 1], [0, 1]]).entries[0][0] == 10 ** 400
+
+    def test_non_finite_float_entries_are_typed(self):
+        for bad in (float("inf"), float("-inf"), float("nan"), complex(1, float("inf"))):
+            with pytest.raises(NonFiniteEntry):
+                SquareMatrix([[1.0, 0.0], [bad, 1.0]])
 
 
 class TestPermanent:
@@ -162,6 +182,25 @@ class TestDeterminant:
     def test_non_finite_entry_rejected(self):
         with pytest.raises(NonFiniteEntry):
             determinant(SquareMatrix([[float("inf"), 1.0], [0.0, 1.0]]))
+
+    def test_float_row_swaps_against_cofactors(self):
+        # a zero leading entry forces LU to swap rows before the first step
+        rng = random.Random(118)
+        draws = (lambda: rng.uniform(-1, 1),
+                 lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        for draw in draws:
+            for _ in range(3):
+                rows = [[draw() for _ in range(6)] for _ in range(6)]
+                rows[0][0] = 0.0
+                got, want = determinant(SquareMatrix(rows)), det_by_cofactors(rows)
+                assert type(got) is type(want)
+                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    def test_float_overflow_is_typed_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntry):
+                determinant(SquareMatrix([[1e200, 0.0], [0.0, 1e200]]))
 
 
 def sylvester(order):

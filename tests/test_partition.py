@@ -140,11 +140,14 @@ class TestZPermanent:
                 elapsed.append(time.perf_counter() - start)
 
         monkeypatch.setattr(partition, "permanent", timed_permanent)
+        start = time.perf_counter()
         with pytest.raises(NonFiniteEntry):
             z_permanent(SpinSystem(1100, eps_f), [float(v) for v in nu])
-        # the kernel refuses before its sign loop; building the 1101 x 1101
-        # matrix around it is not part of the refusal
+        whole = time.perf_counter() - start
+        # the kernel refuses before its sign loop, and building the 1101 x 1101
+        # matrix around it looks at each of its 1.2M entries in one pass
         assert elapsed[0] < 0.1
+        assert whole < 0.4
 
     def test_cost_guard(self):
         system = SpinSystem(two_s=1, epsilons=tuple(range(22)))
