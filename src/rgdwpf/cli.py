@@ -86,8 +86,8 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-_TWO_S = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
-_TRIALS = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _COUPLING = _checked(float, lambda g: g != 0 and math.isfinite(g),
                      "must be a finite nonzero number")
 
@@ -134,7 +134,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pf = sub.add_parser("pf", help="compute the partition function")
-    pf.add_argument("--two-s", type=_TWO_S, required=True)
+    pf.add_argument("--two-s", type=_NON_NEGATIVE, required=True)
     pf.add_argument("--eps", required=True, help="comma-separated inhomogeneities")
     pf.add_argument("--nu", required=True, help="comma-separated rapidities")
     pf.add_argument("--method", choices=("perm", "det", "both"), default="both")
@@ -144,11 +144,11 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("--suite", required=True,
                         choices=("identity", "residues", "limit", "borchardt", "boson"))
-    verify.add_argument("--two-s", type=_TWO_S)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int,
+    verify.add_argument("--two-s", type=_NON_NEGATIVE)
+    verify.add_argument("--n", type=_POSITIVE)
+    verify.add_argument("--m", type=_NON_NEGATIVE,
                         help="extra rapidities for the boson suite (default 1)")
-    verify.add_argument("--trials", type=_TRIALS, default=20)
+    verify.add_argument("--trials", type=_POSITIVE, default=20)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--mode", choices=("exact", "f64"), default="exact",
                         help="f64 is for the identity suite only; the others are exact-only")
@@ -163,7 +163,7 @@ def _build_parser() -> _Parser:
     gam.add_argument("--out")
 
     coeffs = sub.add_parser("coeffs", help="dump the determinant structure coefficients")
-    coeffs.add_argument("--two-s", type=_TWO_S, required=True)
+    coeffs.add_argument("--two-s", type=_NON_NEGATIVE, required=True)
     coeffs.add_argument("--eps", required=True)
     coeffs.add_argument("--mode", choices=("exact", "f64"), default="exact")
     coeffs.add_argument("--out")

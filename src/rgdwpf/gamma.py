@@ -13,6 +13,14 @@ L(z), L'(z), ..., L^(n-1)(z) alone, never from the rapidities.  The
 explicit partition sum over exponent vectors and the polynomial quotient
 -Q^(n)/Q are independent test oracles (``tests/oracles.py``).
 
+The tower is L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1).  In exact mode
+all a + 1 power sums come from one common denominator: with
+1/(z - v_i) = w_i / D, D the lcm of the gaps' numerators, the a-th sum
+is sum_i w_i^(a+1) / D^(a+1), so each costs one normalisation instead of
+one normalising ``Fraction`` operation per rapidity
+(``linalg._inverse_power_sums``).  The same sums give G_1 at the other
+inhomogeneities.
+
 These are the variables the partition-function determinant is written in,
 and they are symmetric under any permutation of the rapidities.
 """
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import CardinalityMismatch, InsufficientDerivatives, PoleAtEvaluationPoint
-from .linalg import canonical
+from .linalg import _inverse_power_sums, canonical
 
 
 @dataclass(frozen=True)
@@ -61,15 +69,9 @@ def lambda_derivatives(nu, z, n_max: int) -> LambdaDerivTable:
     for v in nu:
         if z == v:
             raise PoleAtEvaluationPoint(f"evaluation point {z} equals a rapidity")
-    inv = [1 / (z - v) for v in nu]
-    powers = list(inv)
-    values = []
-    for a in range(n_max + 1):
-        s = sum(powers)
-        values.append((-1) ** a * factorial(a) * s)
-        if a < n_max:
-            powers = [p * q for p, q in zip(powers, inv)]
-    return LambdaDerivTable(values=tuple(values))
+    sums = _inverse_power_sums(z, nu, n_max)
+    return LambdaDerivTable(values=tuple((-1) ** a * factorial(a) * s
+                                         for a, s in enumerate(sums)))
 
 
 def gamma_recursive(lam: LambdaDerivTable, n_max: int):
@@ -90,6 +92,14 @@ def gamma_recursive(lam: LambdaDerivTable, n_max: int):
     return tuple(gammas)
 
 
+def _check_no_poles(nu, eps):
+    """Raise :class:`PoleAtEvaluationPoint` if a rapidity equals an inhomogeneity."""
+    eps = set(eps)
+    for v in nu:
+        if v in eps:
+            raise PoleAtEvaluationPoint(f"rapidity {v} equals an inhomogeneity")
+
+
 def build_gamma_table(system, nu) -> GammaTable:
     """Evaluate the hierarchy at every inhomogeneity of a spin system.
 
@@ -102,14 +112,9 @@ def build_gamma_table(system, nu) -> GammaTable:
         raise CardinalityMismatch(
             f"need {system.omega} rapidities for this system, got {len(nu)}")
     eps = system.epsilons
-    for v in nu:
-        if v in eps:
-            raise PoleAtEvaluationPoint(f"rapidity {v} equals an inhomogeneity")
+    _check_no_poles(nu, eps)
     two_s = system.two_s
     lam1 = lambda_derivatives(nu, eps[0], max(two_s - 1, 0))
     gammas = gamma_recursive(lam1, two_s)
-    gamma1 = {}
-    for j in range(2, system.n + 1):
-        lam = sum(1 / (eps[j - 1] - v) for v in nu)
-        gamma1[j] = -lam
+    gamma1 = {j: -_inverse_power_sums(eps[j - 1], nu)[0] for j in range(2, system.n + 1)}
     return GammaTable(system=system, gammas_at_eps1=gammas, gamma1_at_others=gamma1)

@@ -21,9 +21,18 @@ The exact determinant is multimodular (von zur Gathen and Gerhard, *Modern
 Computer Algebra*, ch. 5): numpy float64 elimination modulo enough primes
 below 2^26 for the Hadamard bound, small enough that every product of
 residues is an exact double (Dumas, Giorgi and Pernet, ACM TOMS 35 (2008)
-art. 19), then Chinese remaindering (see :func:`determinant`).  Importing
+art. 19), then Chinese remaindering (see :func:`determinant`).  The
+entries reach those residues by the same argument: their 16-bit limbs
+times a table of 2^(16 l) mod p in [0, p) are integers below 2^42, and
+2^10 of them sum below 2^52, so one float64 BLAS product per 2^10 limbs
+is exact in any summation order, fused multiply-adds included.  Importing
 the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
 The float determinant is numpy's LAPACK LU with partial pivoting.
+
+The matrix builders take exact inverse gaps 1/(x - z) and power sums
+sum_x (z - x)^-(k+1) from the numerators and denominators of their
+inputs (:func:`_inverse_gaps`, :func:`_inverse_power_sums`): one
+normalisation per result instead of one per ``Fraction`` operation.
 """
 
 import sys
@@ -50,7 +59,7 @@ _PRIME_TOP = 1 << 26
 _WINDOW = 1 << 17
 #: Primes eliminated together as one (n, n, block) float64 array.
 _BLOCK = 16
-#: Limbs summed between reductions: 2^10 products below 2^42, plus a residue, stay below 2^53.
+#: Limbs per float64 BLAS product: 2^10 products below 2^42, plus a residue, stay below 2^53.
 _LIMB_CHUNK = 1 << 10
 
 
@@ -61,7 +70,54 @@ def is_exact(x) -> bool:
 
 def canonical(x):
     """ints become Fractions, so exact division never falls back to floats."""
-    return Fraction(x) if is_exact(x) else x
+    return Fraction(x) if is_exact(x) and not isinstance(x, Fraction) else x
+
+
+def _ratios(z, xs):
+    """(a, b) and [(c, d), ...] with z = a/b and x = c/d when all are Fractions, else None."""
+    if {type(z), *map(type, xs)} == {Fraction}:
+        return z.as_integer_ratio(), [x.as_integer_ratio() for x in xs]
+    return None
+
+
+def _inverse_gaps(xs, z) -> list:
+    """[1/(x - z) for x in xs]; exact inputs give each as (c b - a d) over b d, normalised once."""
+    ratios = _ratios(z, xs)
+    if ratios is None:
+        return [1 / (x - z) for x in xs]
+    (a, b), cds = ratios
+    return [Fraction(b * d, c * b - a * d) for c, d in cds]
+
+
+def _inverse_power_sums(z, xs, n_max: int = 0) -> list:
+    """[sum_x (z - x)^-(k+1) for k = 0..n_max].
+
+    Exact inputs: 1/(z - x_i) = w_i / L, with L the lcm of the unreduced
+    gap numerators a d_i - c_i b, so the k-th sum is sum_i w_i^(k+1) over
+    L^(k+1): one ``math.lcm`` in all and one normalisation per sum, where
+    a ``Fraction`` sum normalises once per term.  Float and complex inputs
+    are summed term by term, each power a running product of 1/(z - x).
+    """
+    ratios = _ratios(z, xs)
+    if ratios is None:
+        inv = [1 / (z - x) for x in xs]
+        powers, sums = inv, []
+        for k in range(n_max + 1):
+            sums.append(sum(powers))
+            if k < n_max:
+                powers = [p * q for p, q in zip(powers, inv)]
+        return sums
+    (a, b), cds = ratios
+    gaps = [a * d - c * b for c, d in cds]  # z - x = (a d - c b) / (b d)
+    common = lcm(*gaps)
+    w = [b * d * (common // g) for (_, d), g in zip(cds, gaps)]
+    sums, powers, scale = [], w, common
+    for k in range(n_max + 1):
+        sums.append(Fraction(sum(powers), scale))
+        if k < n_max:
+            powers = [p * q for p, q in zip(powers, w)]
+            scale *= common
+    return sums
 
 
 def values_agree(left, right, exact: bool) -> bool:
@@ -251,10 +307,17 @@ def _det_multimodular(m: SquareMatrix) -> Fraction:
     del rows  # the limbs hold the entries from here on; free the big ints
     p = np.array(primes, dtype=np.float64)
     pinv = 1 / p
+    # limb powers are tabled for as many blocks of primes at once as keep the table no
+    # larger than the limbs: all primes at once when the n^2 entries outnumber them
+    group = _BLOCK * max(1, len(limbs) // _BLOCK)
     pivots, sign = np.empty((m.dim, len(p))), np.ones(len(p))
     for b in range(0, len(p), _BLOCK):
+        if b % group == 0:
+            powers = _limb_powers(limbs.shape[1], p[b:b + group])
         block = slice(b, b + _BLOCK)
-        _eliminate(_reduce(limbs, signs, p[block], pinv[block]).reshape(m.dim, m.dim, -1),
+        residues = _reduce(limbs, signs, powers[:, b % group:b % group + _BLOCK],
+                           p[block], pinv[block])
+        _eliminate(residues.reshape(m.dim, m.dim, -1),
                    p[block], pinv[block], pivots[:, block], sign[block])
     # each step scales the determinant by piv once per row below the pivot, so with
     # P_k the product of the first k + 1 pivots, det = sign * P_{n-1} / prod_{k<n-1} P_k
@@ -281,10 +344,10 @@ def _crt(residues, moduli):
 
 
 def _limbs(values):
-    """|values| as rows of 16-bit limbs, shape (len(values), limbs), and their signs as a column."""
+    """|values| as float64 rows of 16-bit limbs, (values, limbs), and their signs as a column."""
     width = max(abs(x).bit_length() for x in values) // 16 + 1
     buf = b"".join(abs(x).to_bytes(2 * width, "little") for x in values)
-    limbs = np.frombuffer(buf, dtype="<u2").reshape(len(values), width)
+    limbs = np.frombuffer(buf, dtype="<u2").reshape(len(values), width).astype(np.float64)
     return limbs, np.array([[-1.0 if x < 0 else 1.0] for x in values])
 
 
@@ -295,11 +358,10 @@ def _mod(x, p, pinv):
     return x
 
 
-def _reduce(limbs, signs, p, pinv):
-    """The values modulo each prime of ``p``: float64 (values, len(p)), |entries| <= p/2 + 1."""
-    width = limbs.shape[1]
+def _limb_powers(width, p):
+    """2^(16 l) mod p[b] at [l, b] for l < width: float64 (width, len(p)), entries in [0, p)."""
     q = p.astype(np.int64)
-    powers = np.empty((width, len(p)), dtype=np.int64)  # powers[l] = 2^(16 l) mod p, in [0, p)
+    powers = np.empty((width, len(p)), dtype=np.int64)
     powers[0] = 1
     done = 1
     while done < width:
@@ -307,8 +369,19 @@ def _reduce(limbs, signs, p, pinv):
         more = min(done, width - done)
         powers[done:done + more] = powers[:more] * step % q
         done += more
+    return powers.astype(np.float64)
+
+
+def _reduce(limbs, signs, powers, p, pinv):
+    """The values modulo each prime of ``p``: float64 (values, len(p)), |entries| <= p/2 + 1.
+
+    ``limbs`` and ``signs`` come from :func:`_limbs`, ``powers`` from :func:`_limb_powers`.
+    """
     res = np.zeros((len(limbs), len(p)))
-    for c in range(0, width, _LIMB_CHUNK):  # integer matmul: exact, and no BLAS call
+    for c in range(0, limbs.shape[1], _LIMB_CHUNK):
+        # float64 BLAS product, exact in any summation order, FMA included: every
+        # limb * power is an integer below 2^16 * 2^26 = 2^42, so a chunk's sum stays
+        # below 2^52 and, with the residue carried in res, below 2^53
         res += limbs[:, c:c + _LIMB_CHUNK] @ powers[c:c + _LIMB_CHUNK]
         _mod(res, p, pinv)
     res *= signs

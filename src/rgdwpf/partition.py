@@ -28,15 +28,13 @@ from itertools import combinations_with_replacement
 from math import factorial, frexp, ldexp
 from statistics import fmean
 
-from .errors import (
-    CardinalityMismatch,
-    DegenerateEpsilons,
-    PoleAtEvaluationPoint,
-)
-from .gamma import GammaTable, build_gamma_table
+from .errors import CardinalityMismatch, DegenerateEpsilons
+from .gamma import GammaTable, _check_no_poles, build_gamma_table
 from .linalg import (
     Scalar,
     SquareMatrix,
+    _inverse_gaps,
+    _inverse_power_sums,
     canonical,
     determinant,
     is_exact,
@@ -116,13 +114,7 @@ def cauchy_matrix(nu, eps) -> SquareMatrix:
     if len(nu) != len(eps):
         raise CardinalityMismatch(f"{len(nu)} rapidities vs {len(eps)} inhomogeneities")
     _check_no_poles(nu, eps)
-    return SquareMatrix([[1 / (v - e) for e in eps] for v in nu])
-
-
-def _check_no_poles(nu, eps):
-    for v in nu:
-        if v in eps:
-            raise PoleAtEvaluationPoint(f"rapidity {v} equals an inhomogeneity")
+    return SquareMatrix(zip(*(_inverse_gaps(nu, e) for e in eps)))
 
 
 def z_permanent(system: SpinSystem, nu) -> PartitionValue:
@@ -138,7 +130,8 @@ def z_permanent(system: SpinSystem, nu) -> PartitionValue:
             f"need {system.omega} rapidities for this system, got {len(nu)}")
     eps = system.epsilons
     _check_no_poles(nu, eps)
-    rows = [[1 / (v - eps[0])] * system.two_s + [1 / (v - e) for e in eps[1:]] for v in nu]
+    columns = [_inverse_gaps(nu, e) for e in eps]
+    rows = zip(*columns[:1] * system.two_s, *columns[1:])
     return PartitionValue(value=permanent(SquareMatrix(rows)), method="permanent",
                           system=system, rapidities=nu)
 
@@ -166,7 +159,7 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
     c1j = {}
     for j in range(2, n + 1):
         ej = eps[j - 1]
-        ground_j = tuple(e for e in ground if e != ej)
+        ground_j = ground[:j - 2] + ground[j - 1:]
         col = []
         for k in range(two_s):
             acc = 0
@@ -181,11 +174,10 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
     c0_off = {}
     for i in range(2, n + 1):
         ei = eps[i - 1]
-        c0_diag[i] = two_s / (ei - e1) + sum(
-            1 / (ei - eps[k - 1]) for k in range(2, n + 1) if k != i)
-        for j in range(1, n + 1):
-            if j != i:
-                c0_off[(i, j)] = 1 / (eps[j - 1] - ei)
+        others = ground[:i - 2] + ground[i - 1:]
+        c0_diag[i] = two_s / (ei - e1) + _inverse_power_sums(ei, others)[0]
+        row = _inverse_gaps(eps[:i - 1] + eps[i:], ei)  # 1/(eps_j - eps_i), j != i
+        c0_off.update(zip([(i, j) for j in range(1, n + 1) if j != i], row))
 
     return StructureCoefficients(c11=c11, c1j=c1j, c0_diag=c0_diag, c0_off=c0_off)
 
@@ -207,14 +199,11 @@ def build_J_spin_half(eps, nu) -> SquareMatrix:
     n = len(eps)
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                diag = sum(1 / (eps[i] - eps[k]) for k in range(n) if k != i)
-                diag -= sum(1 / (eps[i] - v) for v in nu)
-                row.append(diag)
-            else:
-                row.append(1 / (eps[j] - eps[i]))
+        others = eps[:i] + eps[i + 1:]
+        row = _inverse_gaps(others, eps[i])  # 1/(eps_j - eps_i), j != i
+        diag = _inverse_power_sums(eps[i], others)[0]
+        diag -= _inverse_power_sums(eps[i], nu)[0]
+        row.insert(i, diag)
         rows.append(row)
     return SquareMatrix(rows)
 

@@ -8,15 +8,25 @@ elimination on big integers, the hierarchy by exact polynomial
 differentiation of the rapidity polynomial and by the explicit partition
 sum over exponent vectors.  The residue probe samples ``z_determinant``
 next to a pole: it checks the order of the pole, not the determinant.
+The assembly of the determinant matrix is summed term by term, one
+``Fraction`` operation per inverse gap and per term, as the reference for
+the package's common-denominator sums.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
 
 from rgdwpf.errors import InsufficientDerivatives
-from rgdwpf.gamma import LambdaDerivTable
-from rgdwpf.partition import SpinSystem, z_determinant
+from rgdwpf.gamma import GammaTable, LambdaDerivTable, gamma_recursive
+from rgdwpf.linalg import SquareMatrix, is_exact
+from rgdwpf.partition import (
+    SpinSystem,
+    StructureCoefficients,
+    random_rapidities,
+    z_determinant,
+)
 
 
 def perm_by_permutation_sum(rows):
@@ -270,3 +280,151 @@ def spin_three_half_worked_coefficients(e1, e2, e3):
               (3, 1): 1 / (e1 - e3), (3, 2): 1 / (e2 - e3)}
     return {"c11": c11, "c1j": {2: c12, 3: c13},
             "c0_diag": c0_diag, "c1_diag": 1, "c0_off": c0_off}
+
+
+# The determinant route's assembly summed term by term, one normalising
+# Fraction operation per term.  Float and complex inputs take these same
+# expressions in the same order, so the package must match them bit for bit.
+
+def lambda_derivatives_by_fraction_sums(nu, z, n_max):
+    """(L(z), L'(z), ..., L^(n_max)(z)), each sum of powers of 1/(z - v) added term by term."""
+    inv = [1 / (z - v) for v in nu]
+    powers = list(inv)
+    values = []
+    for a in range(n_max + 1):
+        s = sum(powers)
+        values.append((-1) ** a * factorial(a) * s)
+        if a < n_max:
+            powers = [p * q for p, q in zip(powers, inv)]
+    return tuple(values)
+
+
+def gamma_table_by_fraction_sums(system, nu):
+    eps = system.epsilons
+    two_s = system.two_s
+    lam1 = LambdaDerivTable(values=lambda_derivatives_by_fraction_sums(
+        nu, eps[0], max(two_s - 1, 0)))
+    gammas = gamma_recursive(lam1, two_s)
+    gamma1 = {}
+    for j in range(2, system.n + 1):
+        lam = sum(1 / (eps[j - 1] - v) for v in nu)
+        gamma1[j] = -lam
+    return GammaTable(system=system, gammas_at_eps1=gammas, gamma1_at_others=gamma1)
+
+
+def _inv_prod(eps1, multiset):
+    term = 1
+    for e in multiset:
+        term /= eps1 - e
+    return term
+
+
+def structure_coefficients_by_fraction_sums(system):
+    eps = system.epsilons
+    two_s = system.two_s
+    n = system.n
+    e1 = eps[0]
+    ground = eps[1:]
+
+    c11 = tuple(
+        sum(_inv_prod(e1, ms) for ms in combinations_with_replacement(ground, two_s - k))
+        for k in range(two_s + 1)
+    )
+
+    c1j = {}
+    for j in range(2, n + 1):
+        ej = eps[j - 1]
+        ground_j = tuple(e for e in ground if e != ej)
+        col = []
+        for k in range(two_s):
+            acc = 0
+            for p in range(k, two_s):
+                weight = (two_s - p) / (e1 - ej) ** (two_s - p)
+                for ms in combinations_with_replacement(ground_j, p - k):
+                    acc += weight * _inv_prod(e1, ms)
+            col.append(-acc)
+        c1j[j] = tuple(col)
+
+    c0_diag = {}
+    c0_off = {}
+    for i in range(2, n + 1):
+        ei = eps[i - 1]
+        c0_diag[i] = two_s / (ei - e1) + sum(
+            1 / (ei - eps[k - 1]) for k in range(2, n + 1) if k != i)
+        for j in range(1, n + 1):
+            if j != i:
+                c0_off[(i, j)] = 1 / (eps[j - 1] - ei)
+
+    return StructureCoefficients(c11=c11, c1j=c1j, c0_diag=c0_diag, c0_off=c0_off)
+
+
+def j_spin_half_by_fraction_sums(eps, nu):
+    n = len(eps)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                diag = sum(1 / (eps[i] - eps[k]) for k in range(n) if k != i)
+                diag -= sum(1 / (eps[i] - v) for v in nu)
+                row.append(diag)
+            else:
+                row.append(1 / (eps[j] - eps[i]))
+        rows.append(row)
+    return SquareMatrix(rows)
+
+
+def j_higher_by_fraction_sums(system, nu):
+    """The (2S, N) determinant matrix from the term-by-term sums above."""
+    gamma = gamma_table_by_fraction_sums(system, nu)
+    coeffs = structure_coefficients_by_fraction_sums(system)
+    n = system.n
+    two_s = system.two_s
+    fact = factorial(two_s)
+    tower = []
+    for k, g in enumerate(gamma.gammas_at_eps1):
+        term = (-1) ** (k + 1) * g
+        fact_k = factorial(k)
+        tower.append(Fraction(term, fact_k) if is_exact(term) else term / fact_k)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = fact * sum(coeffs.c11[k] * tower[k] for k in range(two_s + 1))
+    for j in range(2, n + 1):
+        rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * tower[k] for k in range(two_s))
+    for i in range(2, n + 1):
+        rows[i - 1][i - 1] = coeffs.c0_diag[i] + coeffs.c1_diag * gamma.gamma1_at_others[i]
+        for j in range(1, n + 1):
+            if j != i:
+                rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]
+    return SquareMatrix(rows)
+
+
+#: (2S, N) shapes on which the assembly is checked against the sums above.
+ASSEMBLY_GRID = ((1, 2), (1, 7), (1, 12), (2, 3), (2, 12), (3, 5), (3, 12), (6, 4), (6, 7))
+
+
+def identical(got, want) -> bool:
+    """``==`` and equal reprs: floats must agree bit for bit, signed zeros included."""
+    return got == want and repr(got) == repr(want)
+
+
+def assembly_instances(two_s, n, tag):
+    """{mode: (eps, nu)}: one seeded instance, exact, float and complex up to N = 12, exact above.
+
+    The exact inhomogeneities are random non-integer rationals, so their
+    denominators share factors and the gaps take both signs; the float
+    instance rounds them, and the complex one adds imaginary parts of
+    either sign, signed zeros included.
+    """
+    rng = random.Random(f"{tag}:{two_s}:{n}")
+    eps = tuple(rand_distinct_fractions(rng, n))
+    nu = random_rapidities(two_s + n - 1, eps, rng)
+    f_eps, f_nu = tuple(map(float, eps)), tuple(map(float, nu))
+
+    def imag():
+        return rng.choice((0.0, -0.0, rng.uniform(-2, 2)))
+
+    if n > 12:
+        return {"exact": (eps, nu)}
+    return {"exact": (eps, nu), "float": (f_eps, f_nu),
+            "complex": (tuple(complex(x, imag()) for x in f_eps),
+                        tuple(complex(x, imag()) for x in f_nu))}

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import rgdwpf
 from rgdwpf.cli import run
 from rgdwpf.partition import random_instance, z_permanent
@@ -171,6 +173,22 @@ class TestVerify:
             assert code == 1
             assert doc["error"]["kind"] == "usage"
 
+    def test_no_spins_is_usage_error(self, capsys):
+        for argv in (["--suite", "identity", "--two-s", "1", "--n", "0"],
+                     ["--suite", "borchardt", "--n", "-2"]):
+            code, doc = run_json(capsys, ["verify", *argv, "--trials", "1"])
+            assert code == 1, argv
+            assert doc["error"] == {"kind": "usage",
+                                    "detail": f"argument --n: must be an integer >= 1, "
+                                              f"got {argv[-1]!r}"}
+
+    def test_negative_extra_rapidities_is_usage_error(self, capsys):
+        code, doc = run_json(capsys, ["verify", "--suite", "boson", "--n", "3", "--m", "-1",
+                                      "--trials", "1"])
+        assert code == 1
+        assert doc["error"] == {"kind": "usage",
+                                "detail": "argument --m: must be an integer >= 0, got '-1'"}
+
     def test_exact_only_suites_refuse_float_mode(self, capsys):
         for suite in ("residues", "limit", "borchardt", "boson"):
             code, doc = run_json(capsys, ["verify", "--suite", suite, "--two-s", "2",
@@ -227,6 +245,20 @@ class TestCoeffs:
         code, doc = run_json(capsys, ["coeffs", "--two-s", "-2", "--eps", "0,1"])
         assert code == 1
         assert doc["error"]["kind"] == "usage"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("mode", ["exact", "f64"])
+@pytest.mark.parametrize("name, argv", [
+    ("gamma", ["gamma", "--nu", "2,3/2,5,-5/4,7", "--z", "1/3", "--order", "8"]),
+    ("coeffs", ["coeffs", "--two-s", "3", "--eps", "0,1,2"]),
+])
+def test_output_is_byte_identical_to_the_recorded_output(capsys, name, argv, mode):
+    # recorded with term-by-term Fraction sums, which the one-lcm sums must reproduce
+    assert run(argv + ["--mode", mode]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}-{mode}.json").read_text()
 
 
 class TestBethe:

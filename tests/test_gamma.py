@@ -9,9 +9,14 @@ from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
 from rgdwpf.partition import SpinSystem
 
 from oracles import (
+    ASSEMBLY_GRID,
+    assembly_instances,
     gamma_by_polynomials,
     gamma_explicit,
     gamma_partition_coefficient,
+    gamma_table_by_fraction_sums,
+    identical,
+    lambda_derivatives_by_fraction_sums,
     lambda_derivs_by_quotient_rule,
     rand_distinct_fractions,
     rand_fraction,
@@ -188,3 +193,23 @@ class TestGammaTable:
             build_gamma_table(system, (2,))
         with pytest.raises(PoleAtEvaluationPoint):
             build_gamma_table(system, (1, 2))
+
+
+class TestAgainstTermByTermSums:
+    """The one-lcm power sums against the term-by-term sums they replaced."""
+
+    @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID)
+    def test_lambda_derivatives(self, two_s, n):
+        for mode, (eps, nu) in assembly_instances(two_s, n, "lambda").items():
+            for z in (eps[0], eps[-1]):
+                for order in range(12):
+                    got = lambda_derivatives(nu, z, order).values
+                    assert identical(got, lambda_derivatives_by_fraction_sums(nu, z, order)), \
+                        (mode, order)
+
+    @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
+    def test_gamma_table(self, two_s, n):
+        for mode, (eps, nu) in assembly_instances(two_s, n, "gamma").items():
+            system = SpinSystem(two_s, eps)
+            got = build_gamma_table(system, nu)
+            assert identical(got, gamma_table_by_fraction_sums(system, nu)), mode

@@ -294,9 +294,16 @@ class TestExactKernel:
         span = range(drawn[-1], drawn[0] + 1)
         assert drawn == [x for x in reversed(span) if x % 2 and all(x % d for d in range(3, 46341, 2))]
 
+    def test_power_tables_of_several_groups_of_primes(self):
+        # a 6 x 6 matrix takes its limb powers 32 primes at a time; its 300-bit
+        # entries need about 70 primes, so three tables, each read at two offsets
+        rng = random.Random(118)
+        for _ in range(3):
+            self.check([[rng.getrandbits(300) - (1 << 299) for _ in range(6)] for _ in range(6)])
+
     def test_reduction_of_values_longer_than_one_limb_chunk(self):
         # all-ones limbs make each chunk's sum as large as it gets: a chunk four
-        # times longer would pass 2^53 and round when converted to float64
+        # times longer would pass 2^53 and round in the float64 product
         rng = random.Random(116)
         values = [rng.getrandbits(600_000), -rng.getrandbits(17), 0, -rng.getrandbits(524_300),
                   (1 << 70_000) - 1, -((1 << 16 * 5000) - 1)]
@@ -304,9 +311,24 @@ class TestExactKernel:
         limbs, signs = linalg._limbs(values)
         assert limbs.shape[1] > 4 * linalg._LIMB_CHUNK
         p = np.array(primes, dtype=np.float64)
-        got = linalg._reduce(limbs, signs, p, 1 / p)
+        got = linalg._reduce(limbs, signs, linalg._limb_powers(limbs.shape[1], p), p, 1 / p)
+        assert got.dtype == np.float64
         for col, q in zip(got.T.tolist(), primes):
             assert [int(r) % q for r in col] == [x % q for x in values]
+            assert all(abs(r) <= q / 2 + 1 for r in col)
+
+        # the largest terms: 0xFFFF limbs against powers at p - 1, so each
+        # 2^10-limb chunk sums to about 2^52 - 2^37 before the residue is added
+        width = 5 * linalg._LIMB_CHUNK
+        values = [(1 << 16 * width) - 1, -((1 << 16 * width) - 1)]
+        limbs, signs = linalg._limbs(values)
+        assert (limbs[:, :width] == 0xFFFF).all()
+        p = np.array(primes[:8], dtype=np.float64)
+        powers = np.tile(p - 1, (limbs.shape[1], 1))
+        got = linalg._reduce(limbs, signs, powers, p, 1 / p)
+        assert got.dtype == np.float64
+        for col, q in zip(got.T.tolist(), primes):
+            assert [int(r) % q for r in col] == [-width * 0xFFFF % q, width * 0xFFFF % q]
             assert all(abs(r) <= q / 2 + 1 for r in col)
 
 

@@ -32,9 +32,15 @@ from rgdwpf.partition import (
 )
 
 from oracles import (
+    ASSEMBLY_GRID,
+    assembly_instances,
+    identical,
+    j_higher_by_fraction_sums,
+    j_spin_half_by_fraction_sums,
     perm_by_permutation_sum,
     rand_distinct_fractions,
     spin_three_half_worked_coefficients,
+    structure_coefficients_by_fraction_sums,
     z_by_attachment_sum,
 )
 
@@ -411,3 +417,29 @@ def test_random_instance_is_reproducible_and_collision_free():
     assert system_a == system_b and nu_a == nu_b
     assert all(v not in system_a.epsilons for v in nu_a)
     assert all(v.denominator <= 64 and abs(v.numerator) <= 999 * 64 for v in nu_a)
+
+
+class TestAssemblyAgainstTermByTermSums:
+    """Structure coefficients and J against the term-by-term sums they replaced."""
+
+    @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
+    def test_structure_coefficients(self, two_s, n):
+        for mode, (eps, _) in assembly_instances(two_s, n, "coefficients").items():
+            system = SpinSystem(two_s, eps)
+            got = structure_coefficients(system)
+            assert identical(got, structure_coefficients_by_fraction_sums(system)), mode
+
+    @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
+    def test_higher_spin_matrix(self, two_s, n):
+        for mode, (eps, nu) in assembly_instances(two_s, n, "higher").items():
+            system = SpinSystem(two_s, eps)
+            got = build_J_higher(system, build_gamma_table(system, nu))
+            assert identical(got.entries, j_higher_by_fraction_sums(system, nu).entries), mode
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 36])
+    def test_spin_half_matrix(self, n, extra):
+        # an instance with 2S = 1 + extra carries M = N + extra rapidities
+        for mode, (eps, nu) in assembly_instances(1 + extra, n, "spin-half").items():
+            got = build_J_spin_half(eps, nu)
+            assert identical(got.entries, j_spin_half_by_fraction_sums(eps, nu).entries), mode
