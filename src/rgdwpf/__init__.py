@@ -1,9 +1,9 @@
 """Domain-wall partition functions of rational pairing models with one arbitrary spin.
 
-Exact-rational and float kernels for the permanent and determinant routes
-to the partition function, the log-derivative hierarchy they contract
-against, solvers for the quadratic and rapidity Bethe equations, and
-executable verification of the residue/limit proof obligations.
+Kernels for the permanent route (exact and float) and the determinant
+route (exact; float inputs get Z rounded once), the hierarchy they
+contract against, quadratic and rapidity Bethe solvers, and executable
+verification of the residue/limit obligations.
 
 The package namespace carries the names of the README's library example;
 everything else is imported from its submodule (``rgdwpf.partition``,

@@ -228,19 +228,11 @@ def _solve_by_continuation(model, equations, seed, extra_seeds=None):
 
 
 def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
-    """Solve the quadratic equations for the state selected by ``occupation``.
+    """Solve the quadratic equations for the state with these N weak-coupling occupations.
 
-    Parameters
-    ----------
-    model : CouplingModel
-    occupation : sequence of 0/1, length N
-        Weak-coupling level occupations; must contain exactly ``model.m``
-        ones.  The homotopy seed is L_i = (2/g0) * occupation_i, which is
-        the leading weak-coupling behaviour of occupied levels.
-
-    Returns
-    -------
-    LambdaVars with max |residual| below 1e-12.
+    ``occupation`` holds N bits, ``model.m`` of them ones.  The homotopy seed
+    is L_i = (2/g0) * occupation_i, the leading weak-coupling behaviour of
+    occupied levels.  The result's max |residual| is below 1e-12.
     """
     occupation = tuple(int(b) for b in occupation)
     if len(occupation) != model.n or any(b not in (0, 1) for b in occupation):
@@ -287,17 +279,10 @@ def _pair_rotations(lams):
 def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     """Solve the rapidity equations by continuation from the weak-coupling limit.
 
-    Parameters
-    ----------
-    model : CouplingModel
-    initial_levels : sequence of M distinct level indices (0-based)
-        At weak coupling each rapidity sits just below its level,
-        lam_k = eps_{i_k} - g0/2; a tiny imaginary jitter lets pairs leave
-        the real axis where the branch requires it.
-
-    Returns
-    -------
-    RapidityState with max |residual| below 1e-12.
+    ``initial_levels`` are M distinct 0-based level indices.  At weak
+    coupling each rapidity sits just below its level, lam_k = eps_{i_k} - g0/2;
+    a tiny imaginary jitter lets pairs leave the real axis where the branch
+    requires it.  The result's max |residual| is below 1e-12.
     """
     levels = tuple(initial_levels)
     if len(set(levels)) != len(levels) or len(levels) != model.m:

@@ -18,6 +18,7 @@ degree <= N.  N + 1 exact samples fix P by Lagrange interpolation, and one
 more must agree with it: that confirms the bound, so every pole of Z is
 simple.  Z at infinity is the x^N coefficient of P (the sum of the
 Lagrange weights), which must be 0; the residues are P(eps_j) / B'(eps_j).
+The certificate is exact-only: float or complex input raises ``ValueError``.
 """
 
 import random
@@ -41,11 +42,7 @@ from .partition import (
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification instance.
-
-    ``holds`` means exact equality in exact mode and relative agreement
-    below 1e-9 in float mode.
-    """
+    """One verification instance; ``holds``: ``==`` in exact mode, 1e-9 relative in float mode."""
 
     check: str
     two_s: int
@@ -96,7 +93,6 @@ def pole_residues(system: SpinSystem, nu_prefix) -> list:
     """Residues of Z at every inhomogeneity, as a function of one extra rapidity.
 
     R_j = P(eps_j) / B'(eps_j) from the pole certificate (module docstring).
-    Raises ``ValueError`` for float or complex input.
     """
     return _pole_certificate(system, tuple(nu_prefix))[0]
 
@@ -137,7 +133,6 @@ def check_residue_eps1(system: SpinSystem, nu_prefix) -> CheckReport:
     The exact partial-fraction residue must equal two_s times the
     partition function with the first spin lowered by 1/2, and the pole
     certificate must hold (x^N coefficient 0, extra sample agrees).
-    Raises ``ValueError`` for float or complex input.
     """
     return _residue_reports(system, nu_prefix, [1])[0]
 
@@ -146,7 +141,6 @@ def check_residue_epsj(system: SpinSystem, nu_prefix, j: int) -> CheckReport:
     """Residue at a spin-1/2 inhomogeneity vs the system with that spin removed.
 
     Holds under the same pole certificate as :func:`check_residue_eps1`.
-    Raises ``ValueError`` for float or complex input.
     """
     if not 2 <= j <= system.n:
         raise CardinalityMismatch(f"spin index {j} outside 2..{system.n}")
@@ -159,7 +153,7 @@ def check_infinity_limit(system: SpinSystem, nu) -> CheckReport:
     Runs the pole certificate on ``nu[:-1]``: ``left`` is the x^N
     coefficient of P = Z B (Z at x = infinity), ``right`` is 0.  Holds iff
     it is 0, the extra sample agrees and ``build_J_limit`` is exactly
-    singular.  Raises ``ValueError`` for float or complex input.
+    singular.
     """
     _, top_coefficient, agrees = _pole_certificate(system, tuple(nu)[:-1])
     det_limit = determinant(build_J_limit(system))

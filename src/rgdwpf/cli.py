@@ -8,8 +8,8 @@ Subcommands: ``pf`` (partition function by either route), ``verify``
 Every run writes one JSON document (schema ``rg-dwpf/1``) to stdout or
 ``--out``.  Numbers on the command line are strings like ``3``, ``-2/7``
 or ``0.125`` so exact runs never touch binary floats; float mode also
-accepts complex literals such as ``1+2j``.  Exit codes: 0 success, 1
-usage error, 2 check failure, 3 numerical failure.
+accepts complex literals such as ``1+2j``, for the permanent route only.
+Exit codes: 0 success, 1 usage error, 2 check failure, 3 numerical failure.
 """
 
 import argparse
@@ -100,10 +100,8 @@ def _parse_occupation(text: str) -> tuple:
 
 
 def _scalar_json(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return {"num": str(x.numerator), "den": str(x.denominator)}
-    if isinstance(x, int):
-        return {"num": str(x), "den": "1"}
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     return x
@@ -188,11 +186,9 @@ def _cmd_pf(args) -> tuple:
     if args.method in ("det", "both"):
         zd = partition.z_determinant(system, nu).value
     if args.method == "perm":
-        doc["value"] = _scalar_json(zp)
-        doc["method"] = "permanent"
+        doc.update(value=_scalar_json(zp), method="permanent")
     elif args.method == "det":
-        doc["value"] = _scalar_json(zd)
-        doc["method"] = "determinant"
+        doc.update(value=_scalar_json(zd), method="determinant")
     else:
         equal = values_agree(zp, zd, args.mode == "exact")
         doc.update(permanent=_scalar_json(zp), determinant=_scalar_json(zd), equal=equal)
@@ -232,9 +228,8 @@ def _cmd_verify(args) -> tuple:
         reports = checks.boson_sweep([(args.n, extra)], trials=args.trials, seed=args.seed)
     passed = sum(r.holds for r in reports)
     failed = len(reports) - passed
-    doc = {"schema": SCHEMA, "command": "verify", "suite": suite,
-           "seed": args.seed, "trials": args.trials,
-           "passed": passed, "failed": failed,
+    doc = {"schema": SCHEMA, "command": "verify", "suite": suite, "seed": args.seed,
+           "trials": args.trials, "passed": passed, "failed": failed,
            "reports": [_report_json(r) for r in reports]}
     _emit(doc, args.out, fmt=args.format, reports=reports)
     return (EXIT_OK if failed == 0 else EXIT_CHECK_FAILED), doc

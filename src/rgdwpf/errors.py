@@ -9,6 +9,10 @@ class NonFiniteEntry(RGError):
     """A float-mode value is NaN/Inf on entry, or a kernel overflowed to one."""
 
 
+class ComplexInput(RGError):
+    """A complex value reached the determinant route, which takes real inputs only."""
+
+
 class PoleAtEvaluationPoint(RGError):
     """A rapidity coincides with an inhomogeneity, so the expression has a pole."""
 

@@ -6,7 +6,8 @@ Two scalar modes exist and are never mixed inside one matrix:
   a canonical reduced rational, so identity checks use plain ``==`` with no
   tolerances and are independent of elimination order.
 * float mode: ``float`` / ``complex``.  Entries are checked finite once, when
-  a matrix is built; kernels report overflow to non-finite results.
+  a matrix is built.  The permanent runs in floats; the determinant is the
+  exact one of the real entries' dyadic values (:func:`dyadic`), rounded once.
 
 The permanent uses Glynn's formula (Eur. J. Combin. 31 (2010) 1887) over
 classes of equal columns: flipping the sign of k of a class's m copies
@@ -27,7 +28,6 @@ times a table of 2^(16 l) mod p in [0, p) are integers below 2^42, and
 2^10 of them sum below 2^52, so one float64 BLAS product per 2^10 limbs
 is exact in any summation order, fused multiply-adds included.  Importing
 the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
-The float determinant is numpy's LAPACK LU with partial pivoting.
 
 The matrix builders take exact inverse gaps 1/(x - z) and power sums
 sum_x (z - x)^-(k+1) from the numerators and denominators of their
@@ -44,7 +44,7 @@ from math import comb, isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import CostGuard, NonFiniteEntry
+from .errors import ComplexInput, CostGuard, NonFiniteEntry
 
 Scalar = Fraction | int | float | complex
 
@@ -71,6 +71,24 @@ def is_exact(x) -> bool:
 def canonical(x):
     """ints become Fractions, so exact division never falls back to floats."""
     return Fraction(x) if is_exact(x) and not isinstance(x, Fraction) else x
+
+
+def dyadic(x) -> Fraction:
+    """Exact ``Fraction`` of a real scalar (a finite float is dyadic); refuses complex."""
+    if isinstance(x, complex):
+        raise ComplexInput(f"the determinant route takes real values, got {x!r}")
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):  # inf, nan
+        raise NonFiniteEntry(f"non-finite value {x!r}") from None
+
+
+def rounded(x) -> float:
+    """``float(x)``, correctly rounded for a Fraction; too large raises NonFiniteEntry."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise NonFiniteEntry("value too large for a float") from None
 
 
 def _ratios(z, xs):
@@ -178,11 +196,11 @@ def _coerce(x, exact):
     return Fraction(x) if exact else complex(x) if isinstance(x, complex) else float(x)
 
 
-def _int_rows_and_scale(m: SquareMatrix):
-    """Rescale each row to integers; returns (int rows, product of scales)."""
+def _int_rows_and_scale(entries):
+    """Rescale each row of Fractions to integers; returns (int rows, product of scales)."""
     int_rows = []
     scale = 1
-    for r in m.entries:
+    for r in entries:
         mult = lcm(*(x.denominator for x in r))
         int_rows.append([x.numerator * (mult // x.denominator) for x in r])
         scale *= mult
@@ -198,7 +216,7 @@ def permanent(m: SquareMatrix) -> Scalar:
     """
     n = m.dim
     if m.exact:
-        rows, scale = _int_rows_and_scale(m)
+        rows, scale = _int_rows_and_scale(m.entries)
         return Fraction(_glynn(rows, exact=True), scale << (n - 1))
     try:
         result = _glynn(m.entries, exact=False) / (1 << (n - 1))
@@ -264,10 +282,12 @@ def _primes():
         yield from map(int, _odd_primes(hi - _WINDOW, hi, _SMALL_PRIMES))
 
 
-def determinant(m: SquareMatrix) -> Scalar:
-    """Determinant: multimodular elimination (exact) or numpy's LAPACK LU (float).
+def determinant(m: SquareMatrix) -> Fraction | float:
+    """Exact determinant by multimodular elimination; for a float matrix, rounded once.
 
-    Exact mode returns the exact rational.  Rows are cleared to integers;
+    Exact mode returns the exact rational; a float matrix, its entries'
+    exact determinant correctly rounded (:func:`dyadic`, :func:`rounded`).
+    Rows are cleared to integers;
     the Hadamard bound |det| <= prod_i |row_i| fixes how many primes below
     2^26 are needed, one per 26 bits of twice the bound; blocks of 16
     primes are eliminated together in float64 and Chinese remaindering
@@ -279,21 +299,16 @@ def determinant(m: SquareMatrix) -> Scalar:
     difference are exact integers in a double; and since |r| < p, a pivot
     that vanishes modulo p is an exact ``== 0``.  The cost is about n^3 / 3
     float64 updates per prime: the J matrix of (2S, N) = (1, 36) needs
-    240-300 primes.  Float mode is numpy's LAPACK LU with partial pivoting
-    on entries checked finite when the matrix was built; it returns a python
-    ``float`` or ``complex`` and raises :class:`NonFiniteEntry` on overflow.
+    240-300 primes; generic 53-bit float entries need about ten times as many.
     """
     if m.exact:
-        return _det_multimodular(m)
-    with np.errstate(all="ignore"):
-        det = np.linalg.det(np.array(m.entries)).item()
-    if not isfinite(det):
-        raise NonFiniteEntry("determinant overflowed to a non-finite value")
-    return det
+        return _det_multimodular(m.entries)
+    return rounded(_det_multimodular([[dyadic(x) for x in row] for row in m.entries]))
 
 
-def _det_multimodular(m: SquareMatrix) -> Fraction:
-    rows, scale = _int_rows_and_scale(m)
+def _det_multimodular(entries) -> Fraction:
+    n = len(entries)
+    rows, scale = _int_rows_and_scale(entries)
     limit = isqrt(4 * prod(sum(x * x for x in row) for row in rows))
     primes, modulus = [], 1
     for q in _primes():
@@ -310,14 +325,14 @@ def _det_multimodular(m: SquareMatrix) -> Fraction:
     # limb powers are tabled for as many blocks of primes at once as keep the table no
     # larger than the limbs: all primes at once when the n^2 entries outnumber them
     group = _BLOCK * max(1, len(limbs) // _BLOCK)
-    pivots, sign = np.empty((m.dim, len(p))), np.ones(len(p))
+    pivots, sign = np.empty((n, len(p))), np.ones(len(p))
     for b in range(0, len(p), _BLOCK):
         if b % group == 0:
             powers = _limb_powers(limbs.shape[1], p[b:b + group])
         block = slice(b, b + _BLOCK)
         residues = _reduce(limbs, signs, powers[:, b % group:b % group + _BLOCK],
                            p[block], pinv[block])
-        _eliminate(residues.reshape(m.dim, m.dim, -1),
+        _eliminate(residues.reshape(n, n, -1),
                    p[block], pinv[block], pivots[:, block], sign[block])
     # each step scales the determinant by piv once per row below the pivot, so with
     # P_k the product of the first k + 1 pivots, det = sign * P_{n-1} / prod_{k<n-1} P_k

@@ -17,16 +17,16 @@ routes:
   grows exponentially in two_s).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
-rationals.  Supporting identities for the pure spin-1/2 case (Borchardt's
-identity and the sum-of-permanents determinant used for bosonic
-realizations) live here as well.
+rationals.  Float inputs run exactly on their dyadic values, each result
+rounded once, except on the permanent route, the only one taking complex
+inputs.  Borchardt's identity and the sum-of-permanents determinant of
+bosonic realizations (pure spin 1/2) live here as well.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, frexp, ldexp
-from statistics import fmean
+from math import factorial
 
 from .errors import CardinalityMismatch, DegenerateEpsilons
 from .gamma import GammaTable, _check_no_poles, build_gamma_table
@@ -37,9 +37,10 @@ from .linalg import (
     _inverse_power_sums,
     canonical,
     determinant,
+    dyadic,
     is_exact,
     permanent,
-    values_agree,
+    rounded,
 )
 
 
@@ -176,7 +177,10 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
         ei = eps[i - 1]
         others = ground[:i - 2] + ground[i - 1:]
         c0_diag[i] = two_s / (ei - e1) + _inverse_power_sums(ei, others)[0]
-        row = _inverse_gaps(eps[:i - 1] + eps[i:], ei)  # 1/(eps_j - eps_i), j != i
+        # 1/(eps_j - eps_i), j != i: new gaps for j = 1 and j > i, the (j, i) entry negated
+        # for 1 < j < i, exact in every mode since x - y = -(y - x) and 1/-x = -(1/x)
+        first, *later = _inverse_gaps(eps[:1] + eps[i:], ei)
+        row = [first] + [-c0_off[(j, i)] for j in range(2, i)] + later
         c0_off.update(zip([(i, j) for j in range(1, n + 1) if j != i], row))
 
     return StructureCoefficients(c11=c11, c1j=c1j, c0_diag=c0_diag, c0_off=c0_off)
@@ -265,13 +269,15 @@ def z_determinant(system: SpinSystem, nu) -> PartitionValue:
     """Partition function via the N x N determinant; polynomial in N.
 
     Builds the hierarchy table, assembles the matrix and evaluates its
-    determinant.  No size guard: this is the route that stays cheap when
-    the permanent is out of reach.
+    exact determinant; float inputs give Z correctly rounded.  No size
+    guard: this is the route that stays cheap when the permanent is out of
+    reach.
     """
     nu = tuple(nu)
-    table = build_gamma_table(system, nu)
-    j_matrix = build_J_higher(system, table)
-    return PartitionValue(value=determinant(j_matrix), method="determinant",
+    exact = all(map(is_exact, system.epsilons + nu))
+    run = system if exact else SpinSystem(system.two_s, tuple(map(dyadic, system.epsilons)))
+    z = determinant(build_J_higher(run, build_gamma_table(run, tuple(map(dyadic, nu)))))
+    return PartitionValue(value=z if exact else rounded(z), method="determinant",
                           system=system, rapidities=nu)
 
 
@@ -284,14 +290,15 @@ class BorchardtResult:
 
 
 def borchardt_check(nu, eps) -> BorchardtResult:
-    """Check det(C) * perm(C) == det(M) with M the entrywise square of C."""
-    c = cauchy_matrix(nu, eps)
+    """Check det(C) * perm(C) == det(M) exactly, M the entrywise square of C."""
+    nu, eps = tuple(nu), tuple(eps)
+    c = cauchy_matrix(map(dyadic, nu), map(dyadic, eps))
     m = SquareMatrix([[x * x for x in row] for row in c.entries])
-    det_c = determinant(c)
-    perm_c = permanent(c)
-    det_m = determinant(m)
-    return BorchardtResult(det_c=det_c, perm_c=perm_c, det_m=det_m,
-                           holds=values_agree(det_c * perm_c, det_m, c.exact))
+    det_c, perm_c, det_m = determinant(c), permanent(c), determinant(m)
+    holds = det_c * perm_c == det_m
+    if not all(map(is_exact, nu + eps)):
+        det_c, perm_c, det_m = map(rounded, (det_c, perm_c, det_m))
+    return BorchardtResult(det_c, perm_c, det_m, holds)
 
 
 @dataclass(frozen=True)
@@ -304,21 +311,21 @@ class BosonSumResult:
 def boson_sum_determinant(nu, eps) -> BosonSumResult:
     """Sum of Cauchy permanents over all N-subsets of an oversized rapidity set.
 
-    The sum is perm([C | t]) / ((M-N)! t^(M-N)) for the M x N Cauchy matrix
-    C padded by M - N columns of t.  The right-hand side is the determinant
-    of :func:`build_J_spin_half` on the whole rapidity set.
+    The sum is perm([C | 1]) / (M-N)! for the M x N Cauchy matrix C padded
+    by M - N columns of ones.  The right-hand side is the determinant of
+    :func:`build_J_spin_half` on the whole rapidity set; decided exactly.
     """
-    nu, eps = tuple(canonical(v) for v in nu), tuple(canonical(e) for e in eps)
-    j_tilde = build_J_spin_half(eps, nu)
+    nu, eps = tuple(nu), tuple(eps)
+    exact = all(map(is_exact, nu + eps))
+    nu, eps = tuple(map(dyadic, nu)), tuple(map(dyadic, eps))
+    j_tilde = build_J_spin_half(eps, nu)  # refuses a short, degenerate or pole input first
     extra, cauchy = len(nu) - len(eps), [[1 / (v - e) for e in eps] for v in nu]
-    # float mode pads with a power of two near the entries' size; ones lose up to 2e-7
-    t = 1 if j_tilde.exact else ldexp(1.0, min(64, max(-64, round(fmean(
-        frexp(abs(x))[1] for row in cauchy for x in row)))))
-    lhs = permanent(SquareMatrix([r + [t] * extra for r in cauchy]))
-    lhs /= factorial(extra) * t ** extra
+    lhs = permanent(SquareMatrix([r + [1] * extra for r in cauchy])) / factorial(extra)
     rhs = determinant(j_tilde)
-    return BosonSumResult(sum_of_permanents=lhs, det_j_tilde=rhs,
-                          holds=values_agree(lhs, rhs, j_tilde.exact))
+    holds = lhs == rhs
+    if not exact:
+        lhs, rhs = rounded(lhs), rounded(rhs)
+    return BosonSumResult(sum_of_permanents=lhs, det_j_tilde=rhs, holds=holds)
 
 
 def random_rapidities(count: int, eps, rng) -> tuple:

@@ -10,7 +10,7 @@ import pytest
 
 import rgdwpf
 from rgdwpf.cli import run
-from rgdwpf.partition import random_instance, z_permanent
+from rgdwpf.partition import SpinSystem, random_instance, z_permanent
 
 from oracles import gamma_by_polynomials, spin_three_half_worked_coefficients
 
@@ -63,18 +63,35 @@ class TestPf:
         assert doc["error"]["kind"] == "usage"
 
     def test_float_mode_accepts_complex(self, capsys):
-        code, doc = run_json(capsys, ["pf", "--two-s", "1", "--eps", "0,1",
-                                      "--nu", "2+1j,3", "--mode", "f64",
-                                      "--method", "both"])
+        # the permanent route takes complex rapidities; the determinant route refuses them
+        argv = ["pf", "--two-s", "1", "--eps", "0,1", "--nu", "2+1j,3", "--mode", "f64"]
+        code, doc = run_json(capsys, argv + ["--method", "perm"])
         assert code == 0
-        assert doc["equal"] is True
+        assert set(doc["value"]) == {"re", "im"}
+        for method in ("det", "both"):
+            code, doc = run_json(capsys, argv + ["--method", method])
+            assert code == 1
+            assert doc["error"]["kind"] == "ComplexInput"
 
     def test_overflow_is_a_numerical_failure(self, capsys):
-        code, doc = run_json(capsys, ["pf", "--two-s", "1", "--eps", "0,1e-300",
-                                      "--nu", "2e-300,3e-300", "--mode", "f64",
-                                      "--method", "perm"])
-        assert code == 3
-        assert doc["error"]["kind"] == "NonFiniteEntry"
+        for method in ("perm", "det"):
+            code, doc = run_json(capsys, ["pf", "--two-s", "1", "--eps", "0,1e-300",
+                                          "--nu", "2e-300,3e-300", "--mode", "f64",
+                                          "--method", method])
+            assert code == 3, method
+            assert doc["error"]["kind"] == "NonFiniteEntry"
+
+    def test_float_determinant_is_the_rounded_exact_value(self, capsys):
+        # 0.1 and 0.3 are dyadic rationals near 1/10 and 3/10; Z is rounded once
+        code, doc = run_json(capsys, ["pf", "--two-s", "2", "--eps", "0,0.1",
+                                      "--nu", "0.3,0.7,1.9", "--mode", "f64",
+                                      "--method", "det"])
+        _, exact = run_json(capsys, ["pf", "--two-s", "2", "--eps", "0,0.1",
+                                     "--nu", "0.3,0.7,1.9", "--method", "det"])
+        assert code == 0
+        system = SpinSystem(2, (Fraction(0), Fraction(0.1)))
+        want = z_permanent(system, tuple(map(Fraction, (0.3, 0.7, 1.9)))).value
+        assert doc["value"] == float(want) != float(as_fraction(exact["value"]))
 
     def test_pole_is_a_usage_failure(self, capsys):
         code, doc = run_json(capsys, ["pf", "--two-s", "1", "--eps", "0,1",
@@ -188,6 +205,16 @@ class TestVerify:
         assert code == 1
         assert doc["error"] == {"kind": "usage",
                                 "detail": "argument --m: must be an integer >= 0, got '-1'"}
+
+    @pytest.mark.parametrize("two_s, n", [(1, 10), (4, 6)])
+    def test_float_identity_sweep_holds(self, capsys, two_s, n):
+        # the float determinant is correctly rounded, so it agrees with the float
+        # permanent to 1e-9 where float elimination of J lost every digit
+        code, doc = run_json(capsys, ["verify", "--suite", "identity", "--mode", "f64",
+                                      "--two-s", str(two_s), "--n", str(n),
+                                      "--trials", "10", "--seed", "0"])
+        assert code == 0
+        assert (doc["passed"], doc["failed"]) == (10, 0)
 
     def test_exact_only_suites_refuse_float_mode(self, capsys):
         for suite in ("residues", "limit", "borchardt", "boson"):

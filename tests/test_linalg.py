@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rgdwpf import linalg
-from rgdwpf.errors import CostGuard, NonFiniteEntry
+from rgdwpf.errors import ComplexInput, CostGuard, NonFiniteEntry
 from rgdwpf.gamma import build_gamma_table
 from rgdwpf.linalg import (
     SquareMatrix,
@@ -175,26 +175,42 @@ class TestDeterminant:
         assert math.isclose(float(exact), approx, rel_tol=1e-10)
 
     def test_complex_entries(self):
+        # the determinant takes real entries only; the permanent still takes complex ones
         m = SquareMatrix([[1 + 1j, 2.0], [0.5, 1 - 1j]])
-        expected = (1 + 1j) * (1 - 1j) - 2.0 * 0.5
-        assert abs(determinant(m) - expected) < 1e-12
+        with pytest.raises(ComplexInput):
+            determinant(m)
+        assert permanent(m) == (1 + 1j) * (1 - 1j) + 2.0 * 0.5
 
     def test_non_finite_entry_rejected(self):
         with pytest.raises(NonFiniteEntry):
             determinant(SquareMatrix([[float("inf"), 1.0], [0.0, 1.0]]))
 
     def test_float_row_swaps_against_cofactors(self):
-        # a zero leading entry forces LU to swap rows before the first step
+        # a zero leading entry forces a row swap before the first step; the float
+        # determinant is the exact one of the dyadic entries, correctly rounded
         rng = random.Random(118)
-        draws = (lambda: rng.uniform(-1, 1),
-                 lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        for draw in draws:
-            for _ in range(3):
-                rows = [[draw() for _ in range(6)] for _ in range(6)]
-                rows[0][0] = 0.0
-                got, want = determinant(SquareMatrix(rows)), det_by_cofactors(rows)
-                assert type(got) is type(want)
-                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+        for _ in range(3):
+            rows = [[rng.uniform(-1, 1) for _ in range(6)] for _ in range(6)]
+            rows[0][0] = 0.0
+            got = determinant(SquareMatrix(rows))
+            assert type(got) is float
+            assert got == float(det_by_cofactors([[Fraction(x) for x in r] for r in rows]))
+            rows[0][1] = complex(rows[0][1], rng.uniform(-1, 1))
+            with pytest.raises(ComplexInput):
+                determinant(SquareMatrix(rows))
+
+    def test_float_result_is_correctly_rounded_where_float_elimination_fails(self):
+        # the rounded 14 x 14 Hilbert matrix: condition number 3e17, where LU in
+        # float64 is 39% off its determinant
+        rows = [[1 / (i + j + 1) for j in range(14)] for i in range(14)]
+        want = det_by_bareiss([[Fraction(x) for x in r] for r in rows])
+        assert determinant(SquareMatrix(rows)) == float(want)
+
+    def test_float_result_below_the_subnormals_rounds_to_zero(self):
+        tiny = 2.0 ** -600
+        assert determinant(SquareMatrix([[tiny, 0.0], [0.0, tiny]])) == 0.0
+        # 3 * 2^-1076 is 0.75 of the smallest subnormal, 2^-1074, and rounds up to it
+        assert determinant(SquareMatrix([[tiny, 0.0], [0.0, 3 * 2.0 ** -476]])) == 5e-324
 
     def test_float_overflow_is_typed_without_a_warning(self):
         with warnings.catch_warnings():
@@ -345,6 +361,9 @@ def test_float_sides_without_significant_digits_never_agree():
     assert values_agree(tiny, tiny, exact=False)
     for left, right in ((0.0, 0.0), (tiny / 2, tiny / 2), (0.0, -5e-324), (0j, 0j)):
         assert not values_agree(left, right, exact=False)
-    # the padded permanent and the determinant both underflow to 0.0 here,
-    # while the subset sum of Cauchy permanents is 6.75e-301
-    assert not boson_sum_determinant((1e300, 2e300, 5.0), (0.0, 1.0)).holds
+    # both sides are decided exactly and rounded once, so no side underflows:
+    # the subset sum of Cauchy permanents here is 6.75e-301
+    result = boson_sum_determinant((1e300, 2e300, 5.0), (0.0, 1.0))
+    assert result.holds
+    assert result.sum_of_permanents == result.det_j_tilde
+    assert math.isclose(result.det_j_tilde, 6.75e-301, rel_tol=1e-12)

@@ -9,6 +9,7 @@ import pytest
 from rgdwpf import partition
 from rgdwpf.errors import (
     CardinalityMismatch,
+    ComplexInput,
     CostGuard,
     DegenerateEpsilons,
     NonFiniteEntry,
@@ -338,14 +339,41 @@ class TestZDeterminant:
         assert math.isclose(float(exact), approx, rel_tol=1e-9)
 
     def test_complex_rapidities_float_mode(self):
-        # conjugate-paired rapidities give a real partition function and
-        # both routes must still agree
+        # only the permanent route takes complex values; conjugate-paired
+        # rapidities give it a real partition function
         system = SpinSystem(two_s=2, epsilons=(0.0, 1.0))
         nu = (2.0 + 1.5j, 2.0 - 1.5j, 4.0)
-        det_route = z_determinant(system, nu).value
+        with pytest.raises(ComplexInput):
+            z_determinant(system, nu)
+        with pytest.raises(ComplexInput):
+            z_determinant(SpinSystem(two_s=2, epsilons=(0j, 1.0)), (2.0, 3.0, 4.0))
         perm_route = z_permanent(system, nu).value
-        assert abs(det_route - perm_route) < 1e-12 * abs(det_route)
-        assert abs(det_route.imag) < 1e-14
+        assert abs(perm_route.imag) < 1e-14 * abs(perm_route)
+
+    @pytest.mark.parametrize("two_s, n", [(1, 10), (4, 6), (6, 5), (12, 4), (30, 3)])
+    def test_float_mode_is_the_rounded_exact_permanent(self, two_s, n):
+        # the oracle shares no code with the determinant route: the exact
+        # permanent on the same dyadic values, rounded once, bit for bit
+        rng = random.Random(f"dyadic:{two_s}:{n}")
+        for _ in range(2):
+            system, nu = random_instance(two_s, n, rng)
+            eps_f, nu_f = tuple(map(float, system.epsilons)), tuple(map(float, nu))
+            got = z_determinant(SpinSystem(two_s, eps_f), nu_f).value
+            exact = z_permanent(SpinSystem(two_s, tuple(map(Fraction, eps_f))),
+                                tuple(map(Fraction, nu_f))).value
+            assert type(got) is float
+            assert got == float(exact), (got, float(exact))
+
+    def test_float_value_below_the_subnormals_is_zero(self):
+        # Z is about 2/(nu_1 nu_2) = 1e-600: its correctly rounded value is 0.0, not a refusal
+        system, nu = SpinSystem(1, (0.0, 1.0)), (1e300, 2e300)
+        exact = z_permanent(SpinSystem(1, (Fraction(0), Fraction(1))), map(Fraction, nu)).value
+        assert 0 < exact < Fraction(5e-324) / 2
+        assert z_determinant(system, nu).value == 0.0
+        # about 2e-320, a subnormal, rounded once
+        nu = (1e160, 1e160)
+        exact = z_permanent(SpinSystem(1, (Fraction(0), Fraction(1))), map(Fraction, nu)).value
+        assert z_determinant(system, nu).value == float(exact) != 0.0
 
 
 class TestBorchardt:
@@ -369,6 +397,10 @@ class TestBorchardt:
         eps = [float(x) for x in rand_distinct_fractions(rng, 8)]
         nu = [float(x) for x in rand_distinct_fractions(rng, 8, avoid=eps)]
         assert borchardt_check(nu, eps).holds
+
+    def test_complex_input_refused(self):
+        with pytest.raises(ComplexInput):
+            borchardt_check((2.0, 3 + 1j), (0.0, 1.0))
 
 
 class TestBosonSum:
@@ -409,6 +441,14 @@ class TestBosonSum:
         nu = tuple(Fraction(100 + i) for i in range(22))
         with pytest.raises(CostGuard):
             boson_sum_determinant(nu, eps)
+
+    def test_bad_inputs_are_typed(self):
+        with pytest.raises(ComplexInput):
+            boson_sum_determinant((2.0, 3.0, 4 - 1j), (0.0, 1.0))
+        with pytest.raises(PoleAtEvaluationPoint):
+            boson_sum_determinant((2.0, 1.0, 4.0), (0.0, 1.0))
+        with pytest.raises(CardinalityMismatch):
+            boson_sum_determinant((Fraction(2),), (0, 1))
 
 
 def test_random_instance_is_reproducible_and_collision_free():
