@@ -7,8 +7,9 @@ Subcommands: ``pf`` (partition function by either route), ``verify``
 
 Every run writes one JSON document (schema ``rg-dwpf/1``) to stdout or
 ``--out``.  Numbers on the command line are strings like ``3``, ``-2/7``
-or ``0.125`` so exact runs never touch binary floats; float mode also
-accepts complex literals such as ``1+2j``, for the permanent route only.
+or ``0.125`` so exact runs never touch binary floats.  ``--mode f64`` reads
+them as floats and rounds each exact result once; only the float permanent
+computes in floats, and only it takes complex literals such as ``1+2j``.
 Exit codes: 0 success, 1 usage error, 2 check failure, 3 numerical failure.
 """
 
@@ -22,7 +23,7 @@ from functools import cache
 
 from . import bethe, checks, gamma, partition
 from .errors import NoConvergence, NonFiniteEntry, RGError
-from .linalg import values_agree
+from .linalg import rounded, values_agree
 
 SCHEMA = "rg-dwpf/1"
 
@@ -107,6 +108,11 @@ def _scalar_json(x):
     return x
 
 
+def _rounded_json(x):
+    """f64 output of an exact value: a Fraction rounded once; ints print as in exact mode."""
+    return rounded(x) if isinstance(x, Fraction) else _scalar_json(x)
+
+
 def _report_json(rep) -> dict:
     return {**vars(rep), "left": _scalar_json(rep.left), "right": _scalar_json(rep.right)}
 
@@ -156,7 +162,7 @@ def _build_parser() -> _Parser:
     gam = sub.add_parser("gamma", help="dump the log-derivative hierarchy")
     gam.add_argument("--nu", required=True)
     gam.add_argument("--z", required=True)
-    gam.add_argument("--order", type=int, required=True)
+    gam.add_argument("--order", type=_NON_NEGATIVE, required=True)
     gam.add_argument("--mode", choices=("exact", "f64"), default="exact")
     gam.add_argument("--out")
 
@@ -238,13 +244,11 @@ def _cmd_verify(args) -> tuple:
 def _cmd_gamma(args) -> tuple:
     nu = _parse_csv(args.nu, args.mode)
     z = _parse_scalar(args.z, args.mode)
-    if args.order < 0:
-        raise _UsageError("--order must be >= 0")
     table = gamma.lambda_derivatives(nu, z, max(args.order - 1, 0))
     values = gamma.gamma_recursive(table, args.order)
+    out = _scalar_json if args.mode == "exact" else _rounded_json
     doc = {"schema": SCHEMA, "command": "gamma", "mode": args.mode,
-           "z": _scalar_json(z), "order": args.order,
-           "gammas": [_scalar_json(v) for v in values]}
+           "z": _scalar_json(z), "order": args.order, "gammas": [out(v) for v in values]}
     _emit(doc, args.out)
     return EXIT_OK, doc
 
@@ -253,13 +257,14 @@ def _cmd_coeffs(args) -> tuple:
     system = partition.SpinSystem(two_s=args.two_s,
                                   epsilons=_parse_csv(args.eps, args.mode))
     sc = partition.structure_coefficients(system)
+    out = _scalar_json if args.mode == "exact" else _rounded_json
     doc = {"schema": SCHEMA, "command": "coeffs", "mode": args.mode,
            "two_s": system.two_s, "n": system.n,
-           "c11": [_scalar_json(v) for v in sc.c11],
-           "c1j": {str(j): [_scalar_json(v) for v in col] for j, col in sc.c1j.items()},
-           "c0_diag": {str(i): _scalar_json(v) for i, v in sc.c0_diag.items()},
+           "c11": [out(v) for v in sc.c11],
+           "c1j": {str(j): [out(v) for v in col] for j, col in sc.c1j.items()},
+           "c0_diag": {str(i): out(v) for i, v in sc.c0_diag.items()},
            "c1_diag": sc.c1_diag,
-           "c0_off": {f"{i},{j}": _scalar_json(v) for (i, j), v in sc.c0_off.items()}}
+           "c0_off": {f"{i},{j}": out(v) for (i, j), v in sc.c0_off.items()}}
     _emit(doc, args.out)
     return EXIT_OK, doc
 

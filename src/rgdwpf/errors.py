@@ -10,7 +10,7 @@ class NonFiniteEntry(RGError):
 
 
 class ComplexInput(RGError):
-    """A complex value reached the determinant route, which takes real inputs only."""
+    """A complex value reached a real-only computation (all but the permanent route)."""
 
 
 class PoleAtEvaluationPoint(RGError):

@@ -8,18 +8,18 @@ where L(z) = sum_i 1/(z - v_i).  Since Q' = L Q, Leibniz's rule gives
 
     G_n = sum_{j<n} C(n-1, j) L^(j) G_{n-1-j},
 
-so each G_n is evaluated numerically from the derivative tower
+so each G_n is evaluated from the derivative tower
 L(z), L'(z), ..., L^(n-1)(z) alone, never from the rapidities.  The
 explicit partition sum over exponent vectors and the polynomial quotient
 -Q^(n)/Q are independent test oracles (``tests/oracles.py``).
 
-The tower is L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1).  In exact mode
-all a + 1 power sums come from one common denominator: with
-1/(z - v_i) = w_i / D, D the lcm of the gaps' numerators, the a-th sum
-is sum_i w_i^(a+1) / D^(a+1), so each costs one normalisation instead of
-one normalising ``Fraction`` operation per rapidity
-(``linalg._inverse_power_sums``).  The same sums give G_1 at the other
-inhomogeneities.
+The tower is L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1), exact: a float
+input is read as its dyadic value (``linalg.dyadic``).  All a + 1 power
+sums come from one common denominator: with 1/(z - v_i) = w_i / D, D the
+lcm of the gaps' numerators, the a-th sum is sum_i w_i^(a+1) / D^(a+1),
+so each costs one normalisation instead of one normalising ``Fraction``
+operation per rapidity (``linalg._inverse_power_sums``).  The same sums
+give G_1 at the other inhomogeneities.
 
 These are the variables the partition-function determinant is written in,
 and they are symmetric under any permutation of the rapidities.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import CardinalityMismatch, InsufficientDerivatives, PoleAtEvaluationPoint
-from .linalg import _inverse_power_sums, canonical
+from .linalg import _inverse_power_sums, dyadic
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,13 @@ class GammaTable:
 
 
 def lambda_derivatives(nu, z, n_max: int) -> LambdaDerivTable:
-    """Closed-form derivative tower L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1).
+    """Closed-form derivative tower L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1), exact.
 
     Raises :class:`PoleAtEvaluationPoint` if z coincides with a rapidity.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    nu = tuple(canonical(v) for v in nu)
-    z = canonical(z)
+    nu, z = tuple(map(dyadic, nu)), dyadic(z)
     for v in nu:
         if z == v:
             raise PoleAtEvaluationPoint(f"evaluation point {z} equals a rapidity")
@@ -107,11 +106,11 @@ def build_gamma_table(system, nu) -> GammaTable:
     others, which is exactly what the determinant consumes.  The result is
     invariant under permutations of ``nu``.
     """
-    nu = tuple(canonical(v) for v in nu)
+    nu = tuple(map(dyadic, nu))
     if len(nu) != system.omega:
         raise CardinalityMismatch(
             f"need {system.omega} rapidities for this system, got {len(nu)}")
-    eps = system.epsilons
+    eps = tuple(map(dyadic, system.epsilons))
     _check_no_poles(nu, eps)
     two_s = system.two_s
     lam1 = lambda_derivatives(nu, eps[0], max(two_s - 1, 0))

@@ -6,8 +6,8 @@ Two scalar modes exist and are never mixed inside one matrix:
   a canonical reduced rational, so identity checks use plain ``==`` with no
   tolerances and are independent of elimination order.
 * float mode: ``float`` / ``complex``.  Entries are checked finite once, when
-  a matrix is built.  The permanent runs in floats; the determinant is the
-  exact one of the real entries' dyadic values (:func:`dyadic`), rounded once.
+  a matrix is built.  The permanent runs in floats; everything else reads a
+  real float as its exact dyadic value (:func:`dyadic`) and rounds once.
 
 The permanent uses Glynn's formula (Eur. J. Combin. 31 (2010) 1887) over
 classes of equal columns: flipping the sign of k of a class's m copies
@@ -29,10 +29,10 @@ times a table of 2^(16 l) mod p in [0, p) are integers below 2^42, and
 is exact in any summation order, fused multiply-adds included.  Importing
 the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
 
-The matrix builders take exact inverse gaps 1/(x - z) and power sums
-sum_x (z - x)^-(k+1) from the numerators and denominators of their
-inputs (:func:`_inverse_gaps`, :func:`_inverse_power_sums`): one
-normalisation per result instead of one per ``Fraction`` operation.
+The hierarchy and matrix builders take exact inverse gaps 1/(x - z) and
+power sums sum_x (z - x)^-(k+1) from the numerators and denominators of
+their exact inputs (:func:`_inverse_gaps`, :func:`_inverse_power_sums`):
+one normalisation per result instead of one per ``Fraction`` operation.
 """
 
 import sys
@@ -75,8 +75,10 @@ def canonical(x):
 
 def dyadic(x) -> Fraction:
     """Exact ``Fraction`` of a real scalar (a finite float is dyadic); refuses complex."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, complex):
-        raise ComplexInput(f"the determinant route takes real values, got {x!r}")
+        raise ComplexInput(f"only the permanent route takes complex values, got {x!r}")
     try:
         return Fraction(x)
     except (OverflowError, ValueError):  # inf, nan
@@ -91,41 +93,24 @@ def rounded(x) -> float:
         raise NonFiniteEntry("value too large for a float") from None
 
 
-def _ratios(z, xs):
-    """(a, b) and [(c, d), ...] with z = a/b and x = c/d when all are Fractions, else None."""
-    if {type(z), *map(type, xs)} == {Fraction}:
-        return z.as_integer_ratio(), [x.as_integer_ratio() for x in xs]
-    return None
-
-
 def _inverse_gaps(xs, z) -> list:
     """[1/(x - z) for x in xs]; exact inputs give each as (c b - a d) over b d, normalised once."""
-    ratios = _ratios(z, xs)
-    if ratios is None:
+    if {type(z), *map(type, xs)} != {Fraction}:  # the float and complex permanent
         return [1 / (x - z) for x in xs]
-    (a, b), cds = ratios
-    return [Fraction(b * d, c * b - a * d) for c, d in cds]
+    a, b = z.as_integer_ratio()
+    return [Fraction(b * d, c * b - a * d) for c, d in map(Fraction.as_integer_ratio, xs)]
 
 
-def _inverse_power_sums(z, xs, n_max: int = 0) -> list:
-    """[sum_x (z - x)^-(k+1) for k = 0..n_max].
+def _inverse_power_sums(z: Fraction, xs, n_max: int = 0) -> list:
+    """[sum_x (z - x)^-(k+1) for k = 0..n_max], for a Fraction z and Fractions xs.
 
-    Exact inputs: 1/(z - x_i) = w_i / L, with L the lcm of the unreduced
-    gap numerators a d_i - c_i b, so the k-th sum is sum_i w_i^(k+1) over
-    L^(k+1): one ``math.lcm`` in all and one normalisation per sum, where
-    a ``Fraction`` sum normalises once per term.  Float and complex inputs
-    are summed term by term, each power a running product of 1/(z - x).
+    1/(z - x_i) = w_i / L, with L the lcm of the unreduced gap numerators
+    a d_i - c_i b, so the k-th sum is sum_i w_i^(k+1) over L^(k+1): one
+    ``math.lcm`` in all and one normalisation per sum, where a ``Fraction``
+    sum normalises once per term.
     """
-    ratios = _ratios(z, xs)
-    if ratios is None:
-        inv = [1 / (z - x) for x in xs]
-        powers, sums = inv, []
-        for k in range(n_max + 1):
-            sums.append(sum(powers))
-            if k < n_max:
-                powers = [p * q for p, q in zip(powers, inv)]
-        return sums
-    (a, b), cds = ratios
+    a, b = z.as_integer_ratio()
+    cds = [x.as_integer_ratio() for x in xs]
     gaps = [a * d - c * b for c, d in cds]  # z - x = (a d - c b) / (b d)
     common = lcm(*gaps)
     w = [b * d * (common // g) for (_, d), g in zip(cds, gaps)]

@@ -17,10 +17,11 @@ routes:
   grows exponentially in two_s).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
-rationals.  Float inputs run exactly on their dyadic values, each result
-rounded once, except on the permanent route, the only one taking complex
-inputs.  Borchardt's identity and the sum-of-permanents determinant of
-bosonic realizations (pure spin 1/2) live here as well.
+rationals.  Every builder reads a float as its exact dyadic value, so a
+float result is exact at the given inputs and rounded once, except on
+the permanent route, the only one taking complex inputs.  Borchardt's
+identity and the sum-of-permanents determinant of bosonic realizations
+(pure spin 1/2) live here as well.
 """
 
 from dataclasses import dataclass
@@ -109,9 +110,8 @@ def multisets_with_repetition(items, m: int):
 
 
 def cauchy_matrix(nu, eps) -> SquareMatrix:
-    """Matrix with entries 1/(nu_i - eps_j)."""
-    nu = tuple(canonical(v) for v in nu)
-    eps = tuple(canonical(e) for e in eps)
+    """Matrix with entries 1/(nu_i - eps_j), exact at the inputs' dyadic values."""
+    nu, eps = tuple(map(dyadic, nu)), tuple(map(dyadic, eps))
     if len(nu) != len(eps):
         raise CardinalityMismatch(f"{len(nu)} rapidities vs {len(eps)} inhomogeneities")
     _check_no_poles(nu, eps)
@@ -145,8 +145,8 @@ def _inv_prod(eps1, multiset):
 
 
 def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
-    """Multiset sums over the spin-1/2 inhomogeneities entering the determinant."""
-    eps = system.epsilons
+    """Multiset sums over the spin-1/2 inhomogeneities entering the determinant, exact."""
+    eps = tuple(map(dyadic, system.epsilons))
     two_s = system.two_s
     n = system.n
     e1 = eps[0]
@@ -177,11 +177,8 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
         ei = eps[i - 1]
         others = ground[:i - 2] + ground[i - 1:]
         c0_diag[i] = two_s / (ei - e1) + _inverse_power_sums(ei, others)[0]
-        # 1/(eps_j - eps_i), j != i: new gaps for j = 1 and j > i, the (j, i) entry negated
-        # for 1 < j < i, exact in every mode since x - y = -(y - x) and 1/-x = -(1/x)
-        first, *later = _inverse_gaps(eps[:1] + eps[i:], ei)
-        row = [first] + [-c0_off[(j, i)] for j in range(2, i)] + later
-        c0_off.update(zip([(i, j) for j in range(1, n + 1) if j != i], row))
+        c0_off.update(zip([(i, j) for j in range(1, n + 1) if j != i],
+                          _inverse_gaps(eps[:i - 1] + eps[i:], ei)))
 
     return StructureCoefficients(c11=c11, c1j=c1j, c0_diag=c0_diag, c0_off=c0_off)
 
@@ -189,45 +186,35 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
 def build_J_spin_half(eps, nu) -> SquareMatrix:
     """N x N determinant matrix for a pure spin-1/2 system with M >= N rapidities.
 
-    Its determinant equals the sum of the Cauchy permanents over all
-    N-subsets of the rapidities; for M = N that is the plain permanent of
-    the Cauchy matrix, for arbitrary rapidities.
+    :func:`build_J_higher` at two_s = 1 on the hierarchy of all M rapidities
+    (G_0 = -1, G_1 = -L at every site), exact at the inputs' dyadic values.
+    Its determinant is the sum of the Cauchy permanents over all N-subsets
+    of the rapidities: for M = N, the permanent of the Cauchy matrix.
     """
-    eps = tuple(canonical(e) for e in eps)
-    nu = tuple(canonical(v) for v in nu)
+    eps, nu = tuple(map(dyadic, eps)), tuple(map(dyadic, nu))
     if len(nu) < len(eps):
         raise CardinalityMismatch(f"{len(nu)} rapidities vs {len(eps)} inhomogeneities")
-    if len(set(eps)) != len(eps):
-        raise DegenerateEpsilons("inhomogeneities must be pairwise distinct")
+    system = SpinSystem(1, eps)
     _check_no_poles(nu, eps)
-    n = len(eps)
-    rows = []
-    for i in range(n):
-        others = eps[:i] + eps[i + 1:]
-        row = _inverse_gaps(others, eps[i])  # 1/(eps_j - eps_i), j != i
-        diag = _inverse_power_sums(eps[i], others)[0]
-        diag -= _inverse_power_sums(eps[i], nu)[0]
-        row.insert(i, diag)
-        rows.append(row)
-    return SquareMatrix(rows)
+    g1 = [-_inverse_power_sums(e, nu)[0] for e in eps]
+    hierarchy = GammaTable(system=system, gammas_at_eps1=(-1, g1[0]),
+                           gamma1_at_others=dict(enumerate(g1[1:], start=2)))
+    return build_J_higher(system, hierarchy)
 
 
 def _taylor_tower(gammas):
     # Rescale G_n -> (-1)^(n+1) G_n / n!, whose order-0 value is +1.  Row 1
     # must contract against this normalization; contracting the raw G_n
     # values breaks the equality with the permanent route.
-    tower = []
-    for k, g in enumerate(gammas):
-        term = (-1) ** (k + 1) * g
-        fact = factorial(k)
-        tower.append(Fraction(term, fact) if is_exact(term) else term / fact)
-    return tuple(tower)
+    return tuple(Fraction((-1) ** (k + 1) * dyadic(g), factorial(k))
+                 for k, g in enumerate(gammas))
 
 
 def build_J_higher(system: SpinSystem, gamma: GammaTable) -> SquareMatrix:
     """N x N determinant matrix for one higher spin plus N-1 spins 1/2.
 
-    With two_s = 1 this is entrywise identical to
+    Exact: float hierarchy values are read as their dyadic values.  With
+    two_s = 1 and the hierarchy of any M >= N rapidities this is
     :func:`build_J_spin_half`.
     """
     if gamma.system != system:
@@ -239,13 +226,14 @@ def build_J_higher(system: SpinSystem, gamma: GammaTable) -> SquareMatrix:
     fact = factorial(two_s)
     coeffs = structure_coefficients(system)
     tower = _taylor_tower(gamma.gammas_at_eps1)
+    g1 = gamma.gamma1_at_others
 
     rows = [[0] * n for _ in range(n)]
     rows[0][0] = fact * sum(coeffs.c11[k] * tower[k] for k in range(two_s + 1))
     for j in range(2, n + 1):
         rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * tower[k] for k in range(two_s))
     for i in range(2, n + 1):
-        rows[i - 1][i - 1] = coeffs.c0_diag[i] + coeffs.c1_diag * gamma.gamma1_at_others[i]
+        rows[i - 1][i - 1] = coeffs.c0_diag[i] + coeffs.c1_diag * dyadic(g1[i])
         for j in range(1, n + 1):
             if j != i:
                 rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]
@@ -275,8 +263,7 @@ def z_determinant(system: SpinSystem, nu) -> PartitionValue:
     """
     nu = tuple(nu)
     exact = all(map(is_exact, system.epsilons + nu))
-    run = system if exact else SpinSystem(system.two_s, tuple(map(dyadic, system.epsilons)))
-    z = determinant(build_J_higher(run, build_gamma_table(run, tuple(map(dyadic, nu)))))
+    z = determinant(build_J_higher(system, build_gamma_table(system, nu)))
     return PartitionValue(value=z if exact else rounded(z), method="determinant",
                           system=system, rapidities=nu)
 
@@ -292,7 +279,7 @@ class BorchardtResult:
 def borchardt_check(nu, eps) -> BorchardtResult:
     """Check det(C) * perm(C) == det(M) exactly, M the entrywise square of C."""
     nu, eps = tuple(nu), tuple(eps)
-    c = cauchy_matrix(map(dyadic, nu), map(dyadic, eps))
+    c = cauchy_matrix(nu, eps)
     m = SquareMatrix([[x * x for x in row] for row in c.entries])
     det_c, perm_c, det_m = determinant(c), permanent(c), determinant(m)
     holds = det_c * perm_c == det_m

@@ -18,7 +18,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
 
-from rgdwpf.errors import InsufficientDerivatives
+import pytest
+
+from rgdwpf.errors import ComplexInput, InsufficientDerivatives
 from rgdwpf.gamma import GammaTable, LambdaDerivTable, gamma_recursive
 from rgdwpf.linalg import SquareMatrix, is_exact
 from rgdwpf.partition import (
@@ -283,8 +285,8 @@ def spin_three_half_worked_coefficients(e1, e2, e3):
 
 
 # The determinant route's assembly summed term by term, one normalising
-# Fraction operation per term.  Float and complex inputs take these same
-# expressions in the same order, so the package must match them bit for bit.
+# Fraction operation per term.  The package reads a float input as its
+# exact Fraction, so these are its reference on exact inputs only.
 
 def lambda_derivatives_by_fraction_sums(nu, z, n_max):
     """(L(z), L'(z), ..., L^(n_max)(z)), each sum of powers of 1/(z - v) added term by term."""
@@ -405,6 +407,21 @@ ASSEMBLY_GRID = ((1, 2), (1, 7), (1, 12), (2, 3), (2, 12), (3, 5), (3, 12), (6, 
 def identical(got, want) -> bool:
     """``==`` and equal reprs: floats must agree bit for bit, signed zeros included."""
     return got == want and repr(got) == repr(want)
+
+
+def assert_reads_floats_exactly(instances, build, oracle):
+    """``build`` on the float instance of ``assembly_instances`` is ``identical`` to
+    ``build`` and to ``oracle`` on its Fractions; on the complex one it raises
+    ComplexInput.  Above N = 12 there are neither.
+    """
+    if "float" not in instances:
+        return
+    dyadic = [tuple(map(Fraction, xs)) for xs in instances["float"]]
+    got = build(*instances["float"])
+    assert identical(got, build(*dyadic))
+    assert identical(got, oracle(*dyadic))
+    with pytest.raises(ComplexInput):
+        build(*instances["complex"])
 
 
 def assembly_instances(two_s, n, tag):

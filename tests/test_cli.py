@@ -12,7 +12,12 @@ import rgdwpf
 from rgdwpf.cli import run
 from rgdwpf.partition import SpinSystem, random_instance, z_permanent
 
-from oracles import gamma_by_polynomials, spin_three_half_worked_coefficients
+from oracles import (
+    gamma_by_polynomials,
+    rand_distinct_fractions,
+    spin_three_half_worked_coefficients,
+    structure_coefficients_by_fraction_sums,
+)
 
 
 def run_json(capsys, argv):
@@ -256,6 +261,33 @@ class TestGamma:
         assert gammas[0] == -1
         assert gammas == [gamma_by_polynomials((2, 3, 5), 0, k) for k in range(3)]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_f64_is_the_rounded_polynomial_quotient(self, capsys, seed):
+        # oracle: -Q^(n)/Q at the Fractions of the parsed floats, rounded once;
+        # Q has degree Omega, so every G_n with n > Omega is exactly 0.0
+        rng = random.Random(f"gamma-f64:{seed}")
+        values = [float(x) for x in rand_distinct_fractions(rng, rng.randint(2, 9))]
+        z, nu = values[0], values[1:]
+        order = len(nu) + 3
+        code, doc = run_json(capsys, ["gamma", "--nu=" + ",".join(map(repr, nu)), f"--z={z!r}",
+                                      "--order", str(order), "--mode", "f64"])
+        assert code == 0
+        want = [float(gamma_by_polynomials(list(map(Fraction, nu)), Fraction(z), k))
+                for k in range(1, order + 1)]
+        assert doc["gammas"] == [{"num": "-1", "den": "1"}] + want
+        assert [repr(g) for g in doc["gammas"][len(nu) + 1:]] == ["0.0"] * 3
+
+    def test_f64_refuses_complex(self, capsys):
+        code, doc = run_json(capsys, ["gamma", "--nu", "2,1+1j", "--z", "0", "--order", "2",
+                                      "--mode", "f64"])
+        assert code == 1
+        assert doc["error"]["kind"] == "ComplexInput"
+
+    def test_negative_order_is_usage_error(self, capsys):
+        code, doc = run_json(capsys, ["gamma", "--nu", "2,3", "--z", "0", "--order", "-1"])
+        assert code == 1
+        assert doc["error"]["kind"] == "usage"
+
 
 class TestCoeffs:
     def test_matches_worked_listing(self, capsys):
@@ -267,6 +299,31 @@ class TestCoeffs:
         assert as_fraction(doc["c0_diag"]["2"]) == want["c0_diag"][2]
         assert doc["c1_diag"] == 1
         assert as_fraction(doc["c0_off"]["2,1"]) == want["c0_off"][(2, 1)]
+
+    @pytest.mark.parametrize("two_s, n", [(1, 4), (2, 3), (3, 3), (5, 4)])
+    def test_f64_is_the_rounded_exact_coefficients(self, capsys, two_s, n):
+        # oracle: the term-by-term Fraction sums at the parsed floats, each rounded once
+        rng = random.Random(f"coeffs-f64:{two_s}:{n}")
+        eps = [float(x) for x in rand_distinct_fractions(rng, n)]
+        code, doc = run_json(capsys, ["coeffs", "--two-s", str(two_s),
+                                      "--eps=" + ",".join(map(repr, eps)), "--mode", "f64"])
+        assert code == 0
+        want = structure_coefficients_by_fraction_sums(SpinSystem(two_s, map(Fraction, eps)))
+
+        def out(x):  # ints print as in exact mode
+            return float(x) if isinstance(x, Fraction) else {"num": str(x), "den": "1"}
+
+        assert doc["c11"] == [out(v) for v in want.c11]
+        assert doc["c1j"] == {str(j): [out(v) for v in col] for j, col in want.c1j.items()}
+        assert doc["c0_diag"] == {str(i): out(v) for i, v in want.c0_diag.items()}
+        assert doc["c0_off"] == {f"{i},{j}": out(v) for (i, j), v in want.c0_off.items()}
+
+    def test_f64_overflow_is_a_numerical_failure(self, capsys):
+        # c11[0] = 2/(1e-300)^3 is finite as a Fraction and too large for a float
+        code, doc = run_json(capsys, ["coeffs", "--two-s", "3", "--eps", "0,1e-300,2e-300",
+                                      "--mode", "f64"])
+        assert code == 3
+        assert doc["error"]["kind"] == "NonFiniteEntry"
 
     def test_negative_two_s_is_usage_error(self, capsys):
         code, doc = run_json(capsys, ["coeffs", "--two-s", "-2", "--eps", "0,1"])
@@ -283,7 +340,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("coeffs", ["coeffs", "--two-s", "3", "--eps", "0,1,2"]),
 ])
 def test_output_is_byte_identical_to_the_recorded_output(capsys, name, argv, mode):
-    # recorded with term-by-term Fraction sums, which the one-lcm sums must reproduce
+    # recorded with term-by-term Fraction sums, which the one-lcm sums must reproduce;
+    # gamma-f64 holds the polynomial quotient -Q^(n)/Q at the parsed floats, rounded once
     assert run(argv + ["--mode", mode]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}-{mode}.json").read_text()
 

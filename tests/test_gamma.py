@@ -4,13 +4,19 @@ from itertools import product
 
 import pytest
 
-from rgdwpf.errors import CardinalityMismatch, InsufficientDerivatives, PoleAtEvaluationPoint
+from rgdwpf.errors import (
+    CardinalityMismatch,
+    ComplexInput,
+    InsufficientDerivatives,
+    PoleAtEvaluationPoint,
+)
 from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
 from rgdwpf.partition import SpinSystem
 
 from oracles import (
     ASSEMBLY_GRID,
     assembly_instances,
+    assert_reads_floats_exactly,
     gamma_by_polynomials,
     gamma_explicit,
     gamma_partition_coefficient,
@@ -69,10 +75,13 @@ class TestGammaRecursive:
             gs = gamma_recursive(table, 3)
             for n, g in enumerate(gs):
                 assert g == gamma_by_polynomials(nu, z, n)
-            tower = lambda_derivatives([complex(v) for v in nu], complex(z), 2)
+            # floats are read as their dyadic values; complex values are refused
+            f_nu, f_z = [float(v) for v in nu], float(z)
+            tower = lambda_derivatives(f_nu, f_z, 2)
             for n, g in enumerate(gamma_recursive(tower, 3)):
-                exact = gamma_by_polynomials(nu, z, n)
-                assert abs(g - exact) <= 1e-12 * abs(exact)
+                assert g == gamma_by_polynomials([Fraction(v) for v in f_nu], Fraction(f_z), n)
+            with pytest.raises(ComplexInput):
+                lambda_derivatives([complex(v) for v in nu], complex(z), 2)
 
     def test_insufficient_derivatives(self):
         table = lambda_derivatives((2, 3), 0, 1)
@@ -196,20 +205,36 @@ class TestGammaTable:
 
 
 class TestAgainstTermByTermSums:
-    """The one-lcm power sums against the term-by-term sums they replaced."""
+    """The one-lcm power sums against the term-by-term sums they replaced.
+
+    Float inputs are read as their Fractions and complex ones are refused.
+    """
 
     @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID)
     def test_lambda_derivatives(self, two_s, n):
-        for mode, (eps, nu) in assembly_instances(two_s, n, "lambda").items():
-            for z in (eps[0], eps[-1]):
-                for order in range(12):
-                    got = lambda_derivatives(nu, z, order).values
-                    assert identical(got, lambda_derivatives_by_fraction_sums(nu, z, order)), \
-                        (mode, order)
+        def package(eps, nu):
+            return [lambda_derivatives(nu, z, k).values
+                    for z in (eps[0], eps[-1]) for k in range(12)]
+
+        def oracle(eps, nu):
+            return [lambda_derivatives_by_fraction_sums(nu, z, k)
+                    for z in (eps[0], eps[-1]) for k in range(12)]
+
+        instances = assembly_instances(two_s, n, "lambda")
+        assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
+        assert_reads_floats_exactly(instances, package, oracle)
 
     @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
     def test_gamma_table(self, two_s, n):
-        for mode, (eps, nu) in assembly_instances(two_s, n, "gamma").items():
-            system = SpinSystem(two_s, eps)
-            got = build_gamma_table(system, nu)
-            assert identical(got, gamma_table_by_fraction_sums(system, nu)), mode
+        # the values only: the table's system keeps the caller's epsilons, float or exact
+        def package(eps, nu):
+            table = build_gamma_table(SpinSystem(two_s, eps), nu)
+            return table.gammas_at_eps1, table.gamma1_at_others
+
+        def oracle(eps, nu):
+            table = gamma_table_by_fraction_sums(SpinSystem(two_s, eps), nu)
+            return table.gammas_at_eps1, table.gamma1_at_others
+
+        instances = assembly_instances(two_s, n, "gamma")
+        assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
+        assert_reads_floats_exactly(instances, package, oracle)

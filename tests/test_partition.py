@@ -35,6 +35,7 @@ from rgdwpf.partition import (
 from oracles import (
     ASSEMBLY_GRID,
     assembly_instances,
+    assert_reads_floats_exactly,
     identical,
     j_higher_by_fraction_sums,
     j_spin_half_by_fraction_sums,
@@ -460,26 +461,46 @@ def test_random_instance_is_reproducible_and_collision_free():
 
 
 class TestAssemblyAgainstTermByTermSums:
-    """Structure coefficients and J against the term-by-term sums they replaced."""
+    """Structure coefficients and J against the term-by-term sums they replaced.
+
+    Float inputs are read as their Fractions and complex ones are refused.
+    """
 
     @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
     def test_structure_coefficients(self, two_s, n):
-        for mode, (eps, _) in assembly_instances(two_s, n, "coefficients").items():
-            system = SpinSystem(two_s, eps)
-            got = structure_coefficients(system)
-            assert identical(got, structure_coefficients_by_fraction_sums(system)), mode
+        def package(eps, _):
+            return structure_coefficients(SpinSystem(two_s, eps))
+
+        def oracle(eps, _):
+            return structure_coefficients_by_fraction_sums(SpinSystem(two_s, eps))
+
+        instances = assembly_instances(two_s, n, "coefficients")
+        assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
+        assert_reads_floats_exactly(instances, package, oracle)
 
     @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
     def test_higher_spin_matrix(self, two_s, n):
-        for mode, (eps, nu) in assembly_instances(two_s, n, "higher").items():
+        def package(eps, nu):
             system = SpinSystem(two_s, eps)
-            got = build_J_higher(system, build_gamma_table(system, nu))
-            assert identical(got.entries, j_higher_by_fraction_sums(system, nu).entries), mode
+            return build_J_higher(system, build_gamma_table(system, nu)).entries
+
+        def oracle(eps, nu):
+            return j_higher_by_fraction_sums(SpinSystem(two_s, eps), nu).entries
+
+        instances = assembly_instances(two_s, n, "higher")
+        assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
+        assert_reads_floats_exactly(instances, package, oracle)
 
     @pytest.mark.parametrize("extra", [0, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 36])
     def test_spin_half_matrix(self, n, extra):
+        def package(eps, nu):
+            return build_J_spin_half(eps, nu).entries
+
+        def oracle(eps, nu):
+            return j_spin_half_by_fraction_sums(eps, nu).entries
+
         # an instance with 2S = 1 + extra carries M = N + extra rapidities
-        for mode, (eps, nu) in assembly_instances(1 + extra, n, "spin-half").items():
-            got = build_J_spin_half(eps, nu)
-            assert identical(got.entries, j_spin_half_by_fraction_sums(eps, nu).entries), mode
+        instances = assembly_instances(1 + extra, n, "spin-half")
+        assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
+        assert_reads_floats_exactly(instances, package, oracle)
