@@ -244,8 +244,7 @@ def _cmd_verify(args) -> tuple:
 def _cmd_gamma(args) -> tuple:
     nu = _parse_csv(args.nu, args.mode)
     z = _parse_scalar(args.z, args.mode)
-    table = gamma.lambda_derivatives(nu, z, max(args.order - 1, 0))
-    values = gamma.gamma_recursive(table, args.order)
+    values = gamma.hierarchy(nu, z, args.order)
     out = _scalar_json if args.mode == "exact" else _rounded_json
     doc = {"schema": SCHEMA, "command": "gamma", "mode": args.mode,
            "z": _scalar_json(z), "order": args.order, "gammas": [out(v) for v in values]}

@@ -21,10 +21,6 @@ class CardinalityMismatch(RGError):
     """Sequence lengths are inconsistent with the spin content of the system."""
 
 
-class InsufficientDerivatives(RGError):
-    """The derivative table is too short for the requested hierarchy order."""
-
-
 class DegenerateEpsilons(RGError):
     """Two inhomogeneities coincide; all constructions here require them distinct."""
 

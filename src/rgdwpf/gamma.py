@@ -4,43 +4,43 @@ With rapidities v_1..v_O and Q(z) = prod_i (z - v_i), define
 
     G_n(z) = -Q^(n)(z) / Q(z),        G_0 = -1,  G_1(z) = -L(z),
 
-where L(z) = sum_i 1/(z - v_i).  Since Q' = L Q, Leibniz's rule gives
+where L(z) = sum_i 1/(z - v_i).  Taylor's theorem gives
+Q(z + t) / Q(z) = sum_n Q^(n)(z) t^n / (n! Q(z)), and the product form gives
+Q(z + t) / Q(z) = prod_i (1 + y_i t) with y_i = 1/(z - v_i).  Comparing the
+coefficients of t^n,
 
-    G_n = sum_{j<n} C(n-1, j) L^(j) G_{n-1-j},
+    G_n(z) = -n! e_n(y),
 
-so each G_n is evaluated from the derivative tower
-L(z), L'(z), ..., L^(n-1)(z) alone, never from the rapidities.  The
-explicit partition sum over exponent vectors and the polynomial quotient
--Q^(n)/Q are independent test oracles (``tests/oracles.py``).
+with e_n the n-th elementary symmetric polynomial (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.2).  So G_n vanishes exactly for
+n > Omega, and the hierarchy up to order n is the product truncated at
+t^min(n, Omega): O(Omega min(n, Omega)) operations, no factorials until
+the final -n!.
 
-The tower is L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1), exact: a float
-input is read as its dyadic value (``linalg.dyadic``).  All a + 1 power
-sums come from one common denominator: with 1/(z - v_i) = w_i / D, D the
-lcm of the gaps' numerators, the a-th sum is sum_i w_i^(a+1) / D^(a+1),
-so each costs one normalisation instead of one normalising ``Fraction``
-operation per rapidity (``linalg._inverse_power_sums``).  The same sums
-give G_1 at the other inhomogeneities.
+Evaluation is exact: a float input is read as its dyadic value
+(``linalg.dyadic``).  Writing z - v_i = g_i / h_i with integers
+g_i = a d_i - c_i b and h_i = b d_i (z = a/b, v_i = c_i/d_i), each factor
+is 1 + y_i t = (g_i + h_i t) / g_i, so with P(t) = prod_i (g_i + h_i t)
+
+    G_n = -n! P_n / P_0,
+
+one normalisation per order.  The coefficients of P stay about as long as
+P_0 at every order; over one common denominator D of the y_i, e_n would
+carry D^n instead.  At the other inhomogeneities the determinant needs
+G_1 = -L alone, one integer sum over that common denominator
+(``linalg._inverse_gap_sum``).  The Leibniz recursion on the derivative
+tower of L and the explicit partition sum are the test oracles
+(``tests/oracles.py``).
 
 These are the variables the partition-function determinant is written in,
 and they are symmetric under any permutation of the rapidities.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from fractions import Fraction
 
-from .errors import CardinalityMismatch, InsufficientDerivatives, PoleAtEvaluationPoint
-from .linalg import _inverse_power_sums, dyadic
-
-
-@dataclass(frozen=True)
-class LambdaDerivTable:
-    """Values [L(z), L'(z), ..., L^(order)(z)] at a fixed point z."""
-
-    values: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
+from .errors import CardinalityMismatch, PoleAtEvaluationPoint
+from .linalg import _inverse_gap_sum, dyadic
 
 
 @dataclass(frozen=True)
@@ -57,38 +57,30 @@ class GammaTable:
     gamma1_at_others: dict
 
 
-def lambda_derivatives(nu, z, n_max: int) -> LambdaDerivTable:
-    """Closed-form derivative tower L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1), exact.
+def hierarchy(nu, z, n_max: int) -> tuple:
+    """(G_0, ..., G_{n_max}) at z, exact: G_0 = -1 and G_n = -n! P_n / P_0.
 
-    Raises :class:`PoleAtEvaluationPoint` if z coincides with a rapidity.
+    Orders beyond Omega = len(nu) are exact zeros.  Raises
+    :class:`PoleAtEvaluationPoint` if z coincides with a rapidity.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     nu, z = tuple(map(dyadic, nu)), dyadic(z)
-    for v in nu:
-        if z == v:
-            raise PoleAtEvaluationPoint(f"evaluation point {z} equals a rapidity")
-    sums = _inverse_power_sums(z, nu, n_max)
-    return LambdaDerivTable(values=tuple((-1) ** a * factorial(a) * s
-                                         for a, s in enumerate(sums)))
-
-
-def gamma_recursive(lam: LambdaDerivTable, n_max: int):
-    """[G_0, ..., G_{n_max}] by the Leibniz recursion on the tower.
-
-    Requires ``lam.order >= n_max - 1`` since G_n involves derivatives of L
-    up to order n - 1 only.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if lam.order < n_max - 1:
-        raise InsufficientDerivatives(
-            f"order-{lam.order} table cannot evaluate G_{n_max}")
-    gammas = [-1]
-    for n in range(1, n_max + 1):
-        gammas.append(sum(comb(n - 1, j) * lam.values[j] * gammas[n - 1 - j]
-                          for j in range(n)))
-    return tuple(gammas)
+    if z in nu:
+        raise PoleAtEvaluationPoint(f"evaluation point {z} equals a rapidity")
+    a, b = z.as_integer_ratio()
+    top = min(n_max, len(nu))
+    p = [1] + [0] * top  # P(t) = prod_i (g_i + h_i t), truncated at t^top
+    for i, (c, d) in enumerate(map(Fraction.as_integer_ratio, nu)):
+        g, h = a * d - c * b, b * d  # z - v_i = g / h
+        for k in range(min(i + 1, top), 0, -1):
+            p[k] = p[k] * g + p[k - 1] * h
+        p[0] *= g
+    gammas, fact = [-1], 1
+    for k in range(1, top + 1):
+        fact *= k
+        gammas.append(Fraction(-fact * p[k], p[0]))
+    return tuple(gammas) + (Fraction(0),) * (n_max - top)
 
 
 def _check_no_poles(nu, eps):
@@ -112,8 +104,6 @@ def build_gamma_table(system, nu) -> GammaTable:
             f"need {system.omega} rapidities for this system, got {len(nu)}")
     eps = tuple(map(dyadic, system.epsilons))
     _check_no_poles(nu, eps)
-    two_s = system.two_s
-    lam1 = lambda_derivatives(nu, eps[0], max(two_s - 1, 0))
-    gammas = gamma_recursive(lam1, two_s)
-    gamma1 = {j: -_inverse_power_sums(eps[j - 1], nu)[0] for j in range(2, system.n + 1)}
+    gammas = hierarchy(nu, eps[0], system.two_s)
+    gamma1 = {j: -_inverse_gap_sum(eps[j - 1], nu) for j in range(2, system.n + 1)}
     return GammaTable(system=system, gammas_at_eps1=gammas, gamma1_at_others=gamma1)

@@ -30,9 +30,10 @@ is exact in any summation order, fused multiply-adds included.  Importing
 the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
 
 The hierarchy and matrix builders take exact inverse gaps 1/(x - z) and
-power sums sum_x (z - x)^-(k+1) from the numerators and denominators of
-their exact inputs (:func:`_inverse_gaps`, :func:`_inverse_power_sums`):
-one normalisation per result instead of one per ``Fraction`` operation.
+their sums L(z) = sum_x 1/(z - x) = -G_1(z) from the numerators and
+denominators of their exact inputs (:func:`_inverse_gaps`,
+:func:`_inverse_gap_sum`): one normalisation per result instead of one
+per ``Fraction`` operation.
 """
 
 import sys
@@ -101,26 +102,18 @@ def _inverse_gaps(xs, z) -> list:
     return [Fraction(b * d, c * b - a * d) for c, d in map(Fraction.as_integer_ratio, xs)]
 
 
-def _inverse_power_sums(z: Fraction, xs, n_max: int = 0) -> list:
-    """[sum_x (z - x)^-(k+1) for k = 0..n_max], for a Fraction z and Fractions xs.
+def _inverse_gap_sum(z: Fraction, xs) -> Fraction:
+    """sum_x 1/(z - x) for a Fraction z and Fractions xs.
 
-    1/(z - x_i) = w_i / L, with L the lcm of the unreduced gap numerators
-    a d_i - c_i b, so the k-th sum is sum_i w_i^(k+1) over L^(k+1): one
-    ``math.lcm`` in all and one normalisation per sum, where a ``Fraction``
-    sum normalises once per term.
+    1/(z - x_i) = w_i / D, with D the lcm of the unreduced gap numerators
+    a d_i - c_i b, so the sum is sum_i w_i over D: one ``math.lcm`` and one
+    normalisation, where a ``Fraction`` sum normalises once per term.
     """
     a, b = z.as_integer_ratio()
     cds = [x.as_integer_ratio() for x in xs]
     gaps = [a * d - c * b for c, d in cds]  # z - x = (a d - c b) / (b d)
     common = lcm(*gaps)
-    w = [b * d * (common // g) for (_, d), g in zip(cds, gaps)]
-    sums, powers, scale = [], w, common
-    for k in range(n_max + 1):
-        sums.append(Fraction(sum(powers), scale))
-        if k < n_max:
-            powers = [p * q for p, q in zip(powers, w)]
-            scale *= common
-    return sums
+    return Fraction(sum(b * d * (common // g) for (_, d), g in zip(cds, gaps)), common)
 
 
 def values_agree(left, right, exact: bool) -> bool:

@@ -12,9 +12,10 @@ routes:
   2^(N-2) products of Omega row sums, under the work guard of ``linalg.permanent``;
 * the determinant route: an N x N matrix contracted from structure
   coefficients (multiset sums over the inhomogeneities) and the
-  log-derivative hierarchy of the rapidity polynomial; polynomial in N
-  (the structure coefficients still enumerate multisets, so the cost
-  grows exponentially in two_s).
+  log-derivative hierarchy of the rapidity polynomial (``gamma``: one
+  product truncated at t^two_s); polynomial in N (the structure
+  coefficients still enumerate multisets, so the cost grows
+  exponentially in two_s).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
 rationals.  Every builder reads a float as its exact dyadic value, so a
@@ -34,8 +35,8 @@ from .gamma import GammaTable, _check_no_poles, build_gamma_table
 from .linalg import (
     Scalar,
     SquareMatrix,
+    _inverse_gap_sum,
     _inverse_gaps,
-    _inverse_power_sums,
     canonical,
     determinant,
     dyadic,
@@ -176,7 +177,7 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
     for i in range(2, n + 1):
         ei = eps[i - 1]
         others = ground[:i - 2] + ground[i - 1:]
-        c0_diag[i] = two_s / (ei - e1) + _inverse_power_sums(ei, others)[0]
+        c0_diag[i] = two_s / (ei - e1) + _inverse_gap_sum(ei, others)
         c0_off.update(zip([(i, j) for j in range(1, n + 1) if j != i],
                           _inverse_gaps(eps[:i - 1] + eps[i:], ei)))
 
@@ -196,7 +197,7 @@ def build_J_spin_half(eps, nu) -> SquareMatrix:
         raise CardinalityMismatch(f"{len(nu)} rapidities vs {len(eps)} inhomogeneities")
     system = SpinSystem(1, eps)
     _check_no_poles(nu, eps)
-    g1 = [-_inverse_power_sums(e, nu)[0] for e in eps]
+    g1 = [-_inverse_gap_sum(e, nu) for e in eps]
     hierarchy = GammaTable(system=system, gammas_at_eps1=(-1, g1[0]),
                            gamma1_at_others=dict(enumerate(g1[1:], start=2)))
     return build_J_higher(system, hierarchy)

@@ -5,9 +5,13 @@ avoids the code paths it is used to check: permanents by literal
 permutation sums, the partition function by its defining attachment sum,
 determinants by cofactor expansion and by fraction-free (Bareiss)
 elimination on big integers, the hierarchy by exact polynomial
-differentiation of the rapidity polynomial and by the explicit partition
-sum over exponent vectors.  The residue probe samples ``z_determinant``
-next to a pole: it checks the order of the pole, not the determinant.
+differentiation of the rapidity polynomial, by the Leibniz recursion on
+the derivative tower of L = Q'/Q and by the explicit partition sum over
+exponent vectors.  The hierarchy oracles take the tower as a plain tuple
+and share no code with ``rgdwpf.gamma``, whose ``GammaTable`` container
+is the only name imported from it.  The residue probe samples
+``z_determinant`` next to a pole: it checks the order of the pole, not
+the determinant.
 The assembly of the determinant matrix is summed term by term, one
 ``Fraction`` operation per inverse gap and per term, as the reference for
 the package's common-denominator sums.
@@ -16,12 +20,12 @@ the package's common-denominator sums.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 
-from rgdwpf.errors import ComplexInput, InsufficientDerivatives
-from rgdwpf.gamma import GammaTable, LambdaDerivTable, gamma_recursive
+from rgdwpf.errors import ComplexInput
+from rgdwpf.gamma import GammaTable
 from rgdwpf.linalg import SquareMatrix, is_exact
 from rgdwpf.partition import (
     SpinSystem,
@@ -146,13 +150,19 @@ class Poly:
         return acc
 
 
+def hierarchy_by_polynomials(nu, z, n_max):
+    """(-Q^(n)(z) / Q(z) for n = 0..n_max), Q the monic polynomial with roots at the rapidities."""
+    q = Poly.from_roots(nu)
+    p, q_z, values = q, q(z), []
+    for _ in range(n_max + 1):
+        values.append(-p(z) / q_z)
+        p = p.derivative()
+    return tuple(values)
+
+
 def gamma_by_polynomials(nu, z, n):
     """-Q^(n)(z) / Q(z) with Q the monic polynomial with roots at the rapidities."""
-    q = Poly.from_roots(nu)
-    p = q
-    for _ in range(n):
-        p = p.derivative()
-    return -p(z) / q(z)
+    return hierarchy_by_polynomials(nu, z, n)[n]
 
 
 def lambda_derivs_by_quotient_rule(nu, z, n_max):
@@ -204,22 +214,30 @@ def gamma_partition_coefficient(k, n: int) -> int:
     return quotient
 
 
-def gamma_explicit(lam: LambdaDerivTable, n: int):
-    """G_n from the explicit partition sum over exponent vectors.
+def gamma_by_leibniz(tower, n_max):
+    """(G_0, ..., G_{n_max}) by the Leibniz recursion on the tower (L, L', ..., L^(n_max - 1)).
+
+    Q' = L Q gives Q^(n) = sum_{j<n} C(n-1, j) L^(j) Q^(n-1-j), so
+    G_n = sum_{j<n} C(n-1, j) L^(j) G_{n-1-j} with G_0 = -1.
+    """
+    gammas = [-1]
+    for n in range(1, n_max + 1):
+        gammas.append(sum(comb(n - 1, j) * tower[j] * gammas[n - 1 - j] for j in range(n)))
+    return tuple(gammas)
+
+
+def gamma_explicit(tower, n: int):
+    """G_n from the explicit partition sum over exponent vectors on the tower (L, L', ...).
 
     G_n = - sum_k C[n, k] * prod_a (L^(a))^k_a; the global minus makes the
     n = 1 term equal G_1 = -L, matching the defining quotient -Q^(n)/Q.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if lam.order < n - 1:
-        raise InsufficientDerivatives(f"order-{lam.order} table cannot evaluate G_{n}")
     total = 0
     for k in _partition_vectors(n):
         term = gamma_partition_coefficient(k, n)
         for a, ka in enumerate(k):
             if ka:
-                term *= lam.values[a] ** ka
+                term *= tower[a] ** ka
         total += term
     return -total
 
@@ -304,9 +322,8 @@ def lambda_derivatives_by_fraction_sums(nu, z, n_max):
 def gamma_table_by_fraction_sums(system, nu):
     eps = system.epsilons
     two_s = system.two_s
-    lam1 = LambdaDerivTable(values=lambda_derivatives_by_fraction_sums(
-        nu, eps[0], max(two_s - 1, 0)))
-    gammas = gamma_recursive(lam1, two_s)
+    gammas = gamma_by_leibniz(
+        lambda_derivatives_by_fraction_sums(nu, eps[0], max(two_s - 1, 0)), two_s)
     gamma1 = {}
     for j in range(2, system.n + 1):
         lam = sum(1 / (eps[j - 1] - v) for v in nu)

@@ -24,7 +24,7 @@ from rgdwpf.bethe import (
 )
 from rgdwpf.checks import check_residue_eps1, check_residue_epsj
 from rgdwpf.errors import CostGuard
-from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
+from rgdwpf.gamma import build_gamma_table, hierarchy
 from rgdwpf.linalg import determinant, permanent
 from rgdwpf.partition import (
     SpinSystem,
@@ -41,8 +41,10 @@ from rgdwpf.partition import (
 )
 
 from oracles import (
-    gamma_by_polynomials,
+    gamma_by_leibniz,
     gamma_explicit,
+    hierarchy_by_polynomials,
+    lambda_derivatives_by_fraction_sums,
     rand_distinct_fractions,
     rand_fraction,
     residue_probe_gaps,
@@ -112,13 +114,17 @@ def test_criterion_04_gamma_route_equivalence():
         z = rand_fraction(rng)
         while z in nu:
             z = rand_fraction(rng)
-        table = lambda_derivatives(nu, z, 5)
-        recursive = gamma_recursive(table, 6)
+        tower = lambda_derivatives_by_fraction_sums(nu, z, 5)
+        recursive = gamma_by_leibniz(tower, 6)
+        quotient = hierarchy_by_polynomials(nu, z, 6)
+        truncated = hierarchy(nu, z, 6)
         for order in range(7):
-            explicit = gamma_explicit(table, order)
+            explicit = gamma_explicit(tower, order)
             assert explicit == recursive[order]
-            assert explicit == gamma_by_polynomials(nu, z, order)
-    _announce(4, "explicit == recursive == polynomial-quotient hierarchy, n <= 6, 20 instances")
+            assert explicit == quotient[order]
+            assert explicit == truncated[order]
+    _announce(4, "explicit == recursive == polynomial-quotient == truncated-product hierarchy, "
+                 "n <= 6, 20 instances")
 
 
 def test_criterion_05_worked_coefficients():

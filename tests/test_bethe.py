@@ -199,6 +199,17 @@ class TestSolveRichardson:
         res = richardson_residuals(state, model)
         assert max(abs(r) for r in res) < 1e-12
 
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_half_filling_converges_by_backward_error(self, n):
+        # at g0 = g / 16 the weak-coupling Newton stalls near 1.4e-12 absolute at
+        # N = 16 (terms of size 2/g0); its backward error in the coupling is below 1e-12
+        model = CouplingModel(g=0.5, eps=evenly_spaced(n), m=n // 2)
+        state = solve_richardson(model, tuple(range(n // 2)))
+        assert max(abs(r) for r in richardson_residuals(state, model)) < 1e-12
+        # summing the equations over the rapidities: sum_i L_i = 2 M / g
+        induced = lambdas_from_rapidities(state, model.eps)
+        assert abs(sum(induced.values) - n / model.g) < 1e-9
+
     def test_distinct_levels_required(self):
         model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=2)
         with pytest.raises(CardinalityMismatch):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,6 +278,19 @@ class TestGamma:
         assert doc["gammas"] == [{"num": "-1", "den": "1"}] + want
         assert [repr(g) for g in doc["gammas"][len(nu) + 1:]] == ["0.0"] * 3
 
+    def test_order_far_beyond_omega(self, capsys):
+        # Q has degree 5: G_6..G_200 are exact zeros, at no cost
+        nu = "2,3/2,5,-5/4,7"
+        start = time.perf_counter()
+        code, doc = run_json(capsys, ["gamma", "--nu", nu, "--z", "1/3", "--order", "200"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        want = [gamma_by_polynomials([Fraction(v) for v in nu.split(",")], Fraction(1, 3), k)
+                for k in range(6)]
+        assert [as_fraction(g) for g in doc["gammas"][:6]] == want
+        assert doc["gammas"][6:] == [{"num": "0", "den": "1"}] * 195
+        assert elapsed < 0.1
+
     def test_f64_refuses_complex(self, capsys):
         code, doc = run_json(capsys, ["gamma", "--nu", "2,1+1j", "--z", "0", "--order", "2",
                                       "--mode", "f64"])
@@ -355,6 +369,15 @@ class TestBethe:
         assert doc["richardson"]["max_residual"] < 1e-12
         assert doc["richardson"]["lambda_agreement"] < 1e-8
         assert len(doc["dual_shift"]) == 4
+
+    def test_richardson_at_half_filling(self, capsys):
+        # the absolute residual stalls near 1.4e-12 at the weak-coupling start;
+        # the rapidity route accepts it by backward error, and reports it absolute
+        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", ",".join(map(str, range(16))),
+                                      "--occupation", "1111111100000000",
+                                      "--route", "richardson"])
+        assert code == 0
+        assert doc["richardson"]["max_residual"] < 1e-12
 
     def test_occupation_shorthand(self, capsys):
         code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1",

@@ -4,23 +4,20 @@ from itertools import product
 
 import pytest
 
-from rgdwpf.errors import (
-    CardinalityMismatch,
-    ComplexInput,
-    InsufficientDerivatives,
-    PoleAtEvaluationPoint,
-)
-from rgdwpf.gamma import build_gamma_table, gamma_recursive, lambda_derivatives
-from rgdwpf.partition import SpinSystem
+from rgdwpf.errors import CardinalityMismatch, ComplexInput, PoleAtEvaluationPoint
+from rgdwpf.gamma import build_gamma_table, hierarchy
+from rgdwpf.partition import SpinSystem, random_instance
 
 from oracles import (
     ASSEMBLY_GRID,
     assembly_instances,
     assert_reads_floats_exactly,
+    gamma_by_leibniz,
     gamma_by_polynomials,
     gamma_explicit,
     gamma_partition_coefficient,
     gamma_table_by_fraction_sums,
+    hierarchy_by_polynomials,
     identical,
     lambda_derivatives_by_fraction_sums,
     lambda_derivs_by_quotient_rule,
@@ -29,64 +26,54 @@ from oracles import (
 )
 
 
+def rand_point(rng, nu):
+    z = rand_fraction(rng)
+    while z in nu:
+        z = rand_fraction(rng)
+    return z
+
+
 class TestLambdaDerivatives:
+    """The oracles' derivative tower L^(a)(z) = (-1)^a a! sum_i (z - v_i)^-(a+1)."""
+
     def test_single_rapidity(self):
-        table = lambda_derivatives((0,), 1, 0)
-        assert table.values == (Fraction(1),)
+        tower = lambda_derivatives_by_fraction_sums((Fraction(0),), Fraction(1), 0)
+        assert tower == (Fraction(1),)
 
     def test_single_rapidity_first_derivative(self):
-        table = lambda_derivatives((0,), 1, 1)
-        assert table.values == (Fraction(1), Fraction(-1))
+        tower = lambda_derivatives_by_fraction_sums((Fraction(0),), Fraction(1), 1)
+        assert tower == (Fraction(1), Fraction(-1))
 
     def test_matches_quotient_rule_oracle(self):
         rng = random.Random(21)
         for _ in range(5):
             nu = rand_distinct_fractions(rng, 5)
-            z = rand_fraction(rng)
-            while z in nu:
-                z = rand_fraction(rng)
-            table = lambda_derivatives(nu, z, 4)
-            assert list(table.values) == lambda_derivs_by_quotient_rule(nu, z, 4)
-
-    def test_pole_rejected(self):
-        with pytest.raises(PoleAtEvaluationPoint):
-            lambda_derivatives((Fraction(1, 2), 3), Fraction(1, 2), 2)
+            z = rand_point(rng, nu)
+            tower = lambda_derivatives_by_fraction_sums(nu, z, 4)
+            assert list(tower) == lambda_derivs_by_quotient_rule(nu, z, 4)
 
 
 class TestGammaRecursive:
+    """The oracles' Leibniz recursion on the tower."""
+
     def test_order_zero(self):
-        table = lambda_derivatives((2,), 0, 0)
-        assert gamma_recursive(table, 0) == (-1,)
+        tower = lambda_derivatives_by_fraction_sums((Fraction(2),), Fraction(0), 0)
+        assert gamma_by_leibniz(tower, 0) == (-1,)
 
     def test_order_one_is_minus_lambda(self):
-        table = lambda_derivatives((2, 3, 5), 0, 0)
-        gs = gamma_recursive(table, 1)
+        tower = lambda_derivatives_by_fraction_sums(tuple(map(Fraction, (2, 3, 5))),
+                                                    Fraction(0), 0)
+        gs = gamma_by_leibniz(tower, 1)
         assert gs[0] == -1
-        assert gs[1] == -table.values[0]
+        assert gs[1] == -tower[0]
 
     def test_matches_polynomial_quotient(self):
         rng = random.Random(22)
         for _ in range(5):
             nu = rand_distinct_fractions(rng, 3)
-            z = rand_fraction(rng)
-            while z in nu:
-                z = rand_fraction(rng)
-            table = lambda_derivatives(nu, z, 2)
-            gs = gamma_recursive(table, 3)
-            for n, g in enumerate(gs):
-                assert g == gamma_by_polynomials(nu, z, n)
-            # floats are read as their dyadic values; complex values are refused
-            f_nu, f_z = [float(v) for v in nu], float(z)
-            tower = lambda_derivatives(f_nu, f_z, 2)
-            for n, g in enumerate(gamma_recursive(tower, 3)):
-                assert g == gamma_by_polynomials([Fraction(v) for v in f_nu], Fraction(f_z), n)
-            with pytest.raises(ComplexInput):
-                lambda_derivatives([complex(v) for v in nu], complex(z), 2)
-
-    def test_insufficient_derivatives(self):
-        table = lambda_derivatives((2, 3), 0, 1)
-        with pytest.raises(InsufficientDerivatives):
-            gamma_recursive(table, 3)
+            z = rand_point(rng, nu)
+            gs = gamma_by_leibniz(lambda_derivatives_by_fraction_sums(nu, z, 2), 3)
+            assert gs == hierarchy_by_polynomials(nu, z, 3)
 
 
 class TestPartitionCoefficient:
@@ -126,38 +113,77 @@ class TestPartitionCoefficient:
 
 class TestGammaExplicit:
     def test_order_zero(self):
-        table = lambda_derivatives((5,), 0, 0)
-        assert gamma_explicit(table, 0) == -1
+        tower = lambda_derivatives_by_fraction_sums((Fraction(5),), Fraction(0), 0)
+        assert gamma_explicit(tower, 0) == -1
 
     def test_order_two_closed_form(self):
         rng = random.Random(23)
         nu = rand_distinct_fractions(rng, 4)
-        table = lambda_derivatives(nu, Fraction(1, 3), 1)
-        lam, lam1 = table.values
-        assert gamma_explicit(table, 2) == -(lam1 + lam * lam)
+        lam, lam1 = lambda_derivatives_by_fraction_sums(nu, Fraction(1, 3), 1)
+        assert gamma_explicit((lam, lam1), 2) == -(lam1 + lam * lam)
 
     def test_three_way_route_equivalence(self):
+        # explicit sum == Leibniz recursion == polynomial quotient, and the
+        # package's truncated product equals all three
         rng = random.Random(24)
         for _ in range(10):
             omega = rng.randint(1, 10)
             nu = rand_distinct_fractions(rng, omega)
-            z = rand_fraction(rng)
-            while z in nu:
-                z = rand_fraction(rng)
-            table = lambda_derivatives(nu, z, 11)
-            recursive = gamma_recursive(table, 12)
+            z = rand_point(rng, nu)
+            tower = lambda_derivatives_by_fraction_sums(nu, z, 11)
+            recursive = gamma_by_leibniz(tower, 12)
+            quotient = hierarchy_by_polynomials(nu, z, 12)
+            truncated = hierarchy(nu, z, 12)
             for n in range(13):
-                explicit = gamma_explicit(table, n)
-                assert explicit == recursive[n]
-                assert explicit == gamma_by_polynomials(nu, z, n)
+                explicit = gamma_explicit(tower, n)
+                assert explicit == recursive[n] == quotient[n] == truncated[n]
                 if n > omega:
                     # Q has degree omega, so its higher derivatives vanish
-                    assert recursive[n] == 0
+                    assert truncated[n] == 0
 
-    def test_insufficient_derivatives(self):
-        table = lambda_derivatives((2, 3), 0, 0)
-        with pytest.raises(InsufficientDerivatives):
-            gamma_explicit(table, 2)
+
+class TestHierarchy:
+    """G_n = -n! P_n / P_0 from P(t) = prod_i (g_i + h_i t), truncated at t^min(n, Omega)."""
+
+    def test_pole_rejected(self):
+        with pytest.raises(PoleAtEvaluationPoint):
+            hierarchy((Fraction(1, 2), 3), Fraction(1, 2), 2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            hierarchy((2, 3), 0, -1)
+
+    @pytest.mark.parametrize("two_s, n", [(12, 4), (30, 3), (60, 2)])
+    def test_matches_polynomial_quotient_at_high_spin(self, two_s, n):
+        system, nu = random_instance(two_s, n, random.Random(f"hierarchy:{two_s}:{n}"))
+        eps1 = system.epsilons[0]
+        want = hierarchy_by_polynomials(nu, eps1, two_s)
+        assert hierarchy(nu, eps1, two_s) == want
+        assert build_gamma_table(system, nu).gammas_at_eps1 == want
+
+    def test_exact_zeros_beyond_omega(self):
+        rng = random.Random(28)
+        for omega in (1, 2, 5, 9, 14):
+            nu = rand_distinct_fractions(rng, omega)
+            z = rand_point(rng, nu)
+            gs = hierarchy(nu, z, omega + 5)
+            assert gs[:omega + 1] == hierarchy_by_polynomials(nu, z, omega)
+            assert gs[omega] != 0
+            # Fractions, so that f64 output rounds them to 0.0
+            assert all(type(g) is Fraction and g == 0 for g in gs[omega + 1:])
+            assert len(gs) == omega + 6
+
+    def test_reads_floats_exactly(self):
+        rng = random.Random(22)
+        for _ in range(5):
+            nu = rand_distinct_fractions(rng, 3)
+            z = rand_point(rng, nu)
+            f_nu, f_z = [float(v) for v in nu], float(z)
+            got = hierarchy(f_nu, f_z, 4)
+            assert identical(got, hierarchy(list(map(Fraction, f_nu)), Fraction(f_z), 4))
+            assert got == hierarchy_by_polynomials(list(map(Fraction, f_nu)), Fraction(f_z), 4)
+            with pytest.raises(ComplexInput):
+                hierarchy([complex(v) for v in nu], complex(z), 2)
 
 
 class TestGammaTable:
@@ -205,7 +231,8 @@ class TestGammaTable:
 
 
 class TestAgainstTermByTermSums:
-    """The one-lcm power sums against the term-by-term sums they replaced.
+    """The truncated product and the one-lcm G_1 sums against the term-by-term
+    derivative tower and the Leibniz recursion they replaced.
 
     Float inputs are read as their Fractions and complex ones are refused.
     """
@@ -213,11 +240,10 @@ class TestAgainstTermByTermSums:
     @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID)
     def test_lambda_derivatives(self, two_s, n):
         def package(eps, nu):
-            return [lambda_derivatives(nu, z, k).values
-                    for z in (eps[0], eps[-1]) for k in range(12)]
+            return [hierarchy(nu, z, k) for z in (eps[0], eps[-1]) for k in range(12)]
 
         def oracle(eps, nu):
-            return [lambda_derivatives_by_fraction_sums(nu, z, k)
+            return [gamma_by_leibniz(lambda_derivatives_by_fraction_sums(nu, z, max(k - 1, 0)), k)
                     for z in (eps[0], eps[-1]) for k in range(12)]
 
         instances = assembly_instances(two_s, n, "lambda")

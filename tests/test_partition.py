@@ -324,6 +324,12 @@ class TestZDeterminant:
             system, nu = random_instance(two_s, n, rng)
             assert z_determinant(system, nu).value == z_permanent(system, nu).value
 
+    def test_identity_at_two_s_120(self):
+        # Omega = 121: the hierarchy's truncated product stays cheap at high spin
+        for seed in range(2):
+            system, nu = random_instance(120, 2, random.Random(f"two-s-120:{seed}"))
+            assert z_determinant(system, nu).value == z_permanent(system, nu).value
+
     def test_vanishes_under_rapidity_scaling(self):
         system = SpinSystem(two_s=2, epsilons=(Fraction(0), Fraction(1)))
         nu = (Fraction(2), Fraction(3), Fraction(5))
