@@ -10,10 +10,14 @@ turn the same spectral problem into N coupled *quadratic* equations that
 stay real and regular even where rapidities collide into complex
 conjugate pairs, which is what makes them the preferred numerical route.
 Both formulations are built from one pair-interaction matrix 1/(x_i - x_j)
-(over the levels, or over the rapidities) and share one driver that
-continues a solution in the coupling g from the trivially solvable
-weak-coupling limit (homotopy); a solution of one route must match the
-other after conversion.
+(over the levels, or over the rapidities) and share one predictor-corrector
+driver that continues a solution in the coupling g from the weak-coupling
+limit: each step starts Newton from the tangent dx/dg of the last solution.
+The quadratic route runs in X = g L, whose g = 0 solution X = 2 * occupation
+is exact, and accepts a point only with the state's pair count
+g sum_i L_i / 2 = M; the rapidity route starts from a Newton solve at a
+small coupling g0.  A solution of one route must match the other after
+conversion.
 
 The dual description (lowering operators on the fully polarized state)
 shifts every eigenvalue-based variable by -2/g; the dual rapidities solve
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import CardinalityMismatch, DegenerateEpsilons, NoConvergence, PoleAtEvaluationPoint
 
-#: Newton stops below this max |residual|; accepted homotopy steps reach it, or on the
+#: Newton stops below this max |residual|.  Each route's result reaches it, or on the
 #: rapidity route a backward error below it (see :func:`solve_richardson`).
 RESIDUAL_TOL = 1e-12
 #: Failed continuation steps halve the increment at most this many times.
@@ -152,16 +156,25 @@ def quad_jacobian(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
     return jac
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton(residual, jacobian, x0):
-    """Damped Newton from ``x0``; returns the last iterate and its max |residual|."""
+    """Damped Newton from ``x0``; returns the last iterate and its max |residual|.
+
+    A trial point on a pole of the equations gives an infinite or NaN
+    residual, which never compares below the best one, so it is rejected
+    without a warning; a Jacobian that is not finite ends the iteration.
+    """
     x = np.array(x0)
     r = residual(x)
     best = np.max(np.abs(r))
     for _ in range(200):
         if best < RESIDUAL_TOL:
             break
+        jac = jacobian(x)
+        if not np.all(np.isfinite(jac)):
+            break
         try:
-            dx = np.linalg.solve(jacobian(x), -r)
+            dx = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             break
         step = 1.0
@@ -178,65 +191,100 @@ def _newton(residual, jacobian, x0):
     return x, float(best)
 
 
-def _solve_by_continuation(model, equations, seed, extra_seeds=None):
-    """Solve at weak coupling, then follow the branch to ``model.g``.
+def _solve_by_continuation(g, start, equations, accepts, extra_seeds=None):
+    """Follow a solution in the coupling from ``start = (g0, x0)`` to ``g``.
 
-    ``equations(g)`` gives the residual and Jacobian at g as functions of
-    the variables x, and the max |residual| that accepts a Newton solve
-    there (at least :data:`RESIDUAL_TOL`, where Newton stops).  The start
-    g0 is ``model.g`` halved until |g0| <= :data:`START_GAP_FRACTION` times
-    the smallest level gap; Newton starts there from ``seed(g0)``.  The
-    path to ``model.g`` is geometric: accepted steps end with a Newton
-    residual below that bound, failed steps retry from ``extra_seeds(x)``
-    and then halve the path increment, at most :data:`MAX_STEP_HALVINGS`
-    times in total.  A failure raises :class:`NoConvergence` with the
-    coupling reached, the last Newton residual and the halvings spent.
+    ``equations(c)`` gives three functions of the variables x at coupling
+    c: the residual F, its Jacobian and dF/dg.  At g0 = 0, x0 must be the
+    exact solution and the path to g is linear in the coupling, first in
+    steps of a quarter of the way; otherwise Newton first solves at g0
+    from the seed x0 and the path is geometric, with
+    :data:`SUBSTEPS_PER_DOUBLING` substeps per doubling.  Each step
+    starts Newton from the tangent predictor x + (g_next - g_x) dx/dg,
+    dx/dg = -J^-1 dF/dg at the last accepted point (Allgower and Georg,
+    *Introduction to Numerical Continuation Methods*, ch. 2), then from
+    ``extra_seeds(x)``.  A Newton solve counts only if
+    ``accepts(c, x, residual)``: a residual bound, and on the quadratic
+    route also the pair count of :func:`solve_quadratic_bethe`.  A failed
+    step halves the path increment, at most :data:`MAX_STEP_HALVINGS`
+    times in total, and an accepted one doubles it back up to its first
+    size.  A failure raises :class:`NoConvergence` with the coupling
+    reached, the last Newton residual and the halvings spent.
     """
-    def newton_at(g, x):
-        residual, jacobian, accept_below = equations(g)
+    def newton_at(c, x):
+        residual, jacobian, _ = equations(c)
         x, res = _newton(residual, jacobian, x)
-        return x, res, res < accept_below
+        return x, res, accepts(c, x, res)
 
-    g0 = model.g
-    while abs(g0) > START_GAP_FRACTION * model.min_gap:
-        g0 /= 2
-    x, res, accepted = newton_at(g0, seed(g0))
-    if not accepted:
-        raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}",
-                            g_reached=g0, residual=res)
-    if g0 == model.g:
+    g0, x = start
+    if g0 != 0:
+        x, res, accepted = newton_at(g0, x)
+        if not accepted:
+            raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}",
+                                g_reached=g0, residual=res)
+    if g0 == g:
         return x
-    ratio = model.g / g0
-    du0 = 1.0 / max(1, round(np.log(abs(ratio)) / np.log(2) * SUBSTEPS_PER_DOUBLING))
-    u, du, halvings = 0.0, du0, 0
+
+    def coupling(u):  # the path, ending exactly at g
+        if u == 1.0:
+            return g
+        return g * u if g0 == 0 else g0 * (g / g0) ** u
+
+    if g0 == 0:
+        du0 = 0.25
+    else:
+        du0 = 1.0 / max(1, round(np.log2(abs(g / g0)) * SUBSTEPS_PER_DOUBLING))
+    u, du, halvings, g_x, slope = 0.0, du0, 0, g0, None
     while u < 1.0:
+        if slope is None:
+            _, jacobian, d_dg = equations(g_x)
+            slope = _tangent(jacobian, d_dg, x)
         u_next = min(u + du, 1.0)
-        g = g0 * ratio ** u_next
-        seeds = [x] + (extra_seeds(x) if extra_seeds is not None else [])
-        for start in seeds:
-            xn, res, accepted = newton_at(g, start)
+        g_next = coupling(u_next)
+        seeds = [x + (g_next - g_x) * slope] + (extra_seeds(x) if extra_seeds else [])
+        for seed in seeds:
+            xn, res, accepted = newton_at(g_next, seed)
             if accepted:
                 break
         if accepted:
-            u, x = u_next, xn
+            u, x, g_x, slope = u_next, xn, g_next, None
             du = min(du * 2, du0)
         else:
             du /= 2
             halvings += 1
             if halvings > MAX_STEP_HALVINGS:
-                g_reached = g0 * ratio ** u
-                raise NoConvergence(
-                    f"continuation stalled at g = {g_reached:.6g}",
-                    g_reached=g_reached, residual=res, halvings=halvings)
+                raise NoConvergence(f"continuation stalled at g = {g_x:.6g}",
+                                    g_reached=g_x, residual=res, halvings=halvings)
     return x
+
+
+def _tangent(jacobian, d_dg, x):
+    """dx/dg = -J^-1 dF/dg at a solution x; zero where J is singular."""
+    try:
+        slope = np.linalg.solve(jacobian(x), -d_dg(x))
+    except np.linalg.LinAlgError:
+        return np.zeros_like(x)
+    return slope if np.all(np.isfinite(slope)) else np.zeros_like(x)
 
 
 def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     """Solve the quadratic equations for the state with these N weak-coupling occupations.
 
-    ``occupation`` holds N bits, ``model.m`` of them ones.  The homotopy seed
-    is L_i = (2/g0) * occupation_i, the leading weak-coupling behaviour of
-    occupied levels.  The result's max |residual| is below 1e-12.
+    ``occupation`` holds N bits, ``model.m`` of them ones.  The solve runs
+    in X = g L, where the equations read
+
+        F_i = X_i^2 - 2 X_i - g sum_{j != i} (X_i - X_j)/(eps_i - eps_j) = 0.
+
+    At g = 0 the solution is exactly X = 2 * occupation, with Jacobian
+    diag(+-2), so the continuation starts there with no Newton solve and
+    moves linearly in g.  Newton works on F / g^2, which is
+    :func:`quad_residuals` at L = X / g.  Every accepted point has the pair
+    count round(g sum_i L_i / 2) = M: summing the rapidity equations gives
+    sum_i L_i = 2M/g for every M-pair state, so a jump to another branch
+    changes the count by at least one.  The result has max |residual|
+    below 1e-12.  The points on the way need only max |F| below 1e-12
+    where that is looser (|g| < 1): near g = 0, L ~ 2/g puts the rounding
+    error of the residual of L above 1e-12.
     """
     occupation = tuple(int(b) for b in occupation)
     if len(occupation) != model.n or any(b not in (0, 1) for b in occupation):
@@ -247,17 +295,29 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     if model.m == 0:
         return LambdaVars(values=(0.0,) * model.n)
 
-    # one model per coupling; quad_residuals and quad_jacobian are looked up
-    # as module globals on every evaluation, so a wrapped one sees each
-    # Newton iteration
+    inv = _inverse_gaps(model.eps)
+
+    def pair_flow(x):  # dF/dg = -sum_{j != i} (X_i - X_j)/(eps_i - eps_j)
+        return inv @ x - inv.sum(axis=1) * x
+
+    # F / g^2 for g != 0 (the tangent is the same for any scale of F);
+    # quad_residuals and quad_jacobian are looked up as module globals on
+    # every evaluation, so a wrapped one sees each Newton iteration
     def equations(g):
+        if g == 0:
+            return None, lambda x: np.diag(2 * x - 2), pair_flow
         at_g = replace(model, g=g)
-        return (lambda v: quad_residuals(LambdaVars(tuple(v)), at_g),
-                lambda v: quad_jacobian(LambdaVars(tuple(v)), at_g), RESIDUAL_TOL)
+        return (lambda x: quad_residuals(LambdaVars(tuple(x / g)), at_g),
+                lambda x: quad_jacobian(LambdaVars(tuple(x / g)), at_g) / g,
+                lambda x: pair_flow(x) / g ** 2)
+
+    def accepts(g, x, res):
+        tol = RESIDUAL_TOL * (1.0 if g == model.g else max(1.0, g ** -2))
+        return res < tol and round(x.sum() / 2) == model.m
 
     x = _solve_by_continuation(
-        model, equations, lambda g0: (2 / g0) * np.asarray(occupation, dtype=float))
-    return LambdaVars(values=tuple(float(v) for v in x))
+        model.g, (0.0, 2 * np.asarray(occupation, dtype=float)), equations, accepts)
+    return LambdaVars(values=tuple(float(v) for v in x / model.g))
 
 
 def _pair_rotations(lams):
@@ -286,7 +346,7 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     ``initial_levels`` are M distinct 0-based level indices.  At weak
     coupling each rapidity sits just below its level, lam_k = eps_{i_k} - g0/2;
     a tiny imaginary jitter lets pairs leave the real axis where the branch
-    requires it.
+    requires it.  The continuation's tangent uses dF/dg = -2/g^2.
 
     A Newton solve is accepted at max |residual| below 1e-12 or at a
     backward error below 1e-12 (Higham, *Accuracy and Stability of
@@ -306,13 +366,17 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
         return RapidityState(lambdas=())
 
     eps = np.asarray(model.eps)
+    g0 = model.g
+    while abs(g0) > START_GAP_FRACTION * model.min_gap:
+        g0 /= 2
     jitter = 1j * 1e-6 * np.array([(k + 1) * (-1) ** k for k in range(model.m)])
     x = _solve_by_continuation(
-        model,
+        model.g,
+        (g0, np.array([model.eps[i] - g0 / 2 for i in levels], dtype=complex) + jitter),
         lambda g: (lambda lam: _richardson_residuals_arr(lam, g, eps),
                    lambda lam: _richardson_jacobian(lam, g, eps),
-                   RESIDUAL_TOL * max(1.0, 2 / abs(g))),
-        lambda g0: np.array([model.eps[i] - g0 / 2 for i in levels], dtype=complex) + jitter,
+                   lambda lam: np.full(len(lam), -2 / g ** 2)),
+        lambda g, lam, res: res < RESIDUAL_TOL * max(1.0, 2 / abs(g)),
         extra_seeds=lambda lam: [lam + jitter] + _pair_rotations(lam))
     return RapidityState(lambdas=tuple(complex(v) for v in x))
 

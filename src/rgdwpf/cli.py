@@ -278,29 +278,48 @@ def _cmd_bethe(args) -> tuple:
     model = bethe.CouplingModel(g=args.g, eps=eps, m=sum(occupation))
     doc = {"schema": SCHEMA, "command": "bethe", "g": args.g,
            "eps": list(eps), "occupation": list(occupation)}
-    lv = None
-    if args.route in ("quad", "both"):
-        lv = bethe.solve_quadratic_bethe(model, occupation)
-        res = max(abs(r) for r in bethe.quad_residuals(lv, model))
-        doc["quad"] = {"lambdas": [_scalar_json(v) for v in lv.values],
-                       "max_residual": float(res)}
-        dual = bethe.dual_transform(lv, model)
-        doc["dual_shift"] = [_scalar_json(v) for v in dual.values]
-    if args.route in ("richardson", "both"):
-        levels = tuple(i for i, b in enumerate(occupation) if b)
-        state = bethe.solve_richardson(model, levels)
-        res = max(abs(r) for r in bethe.richardson_residuals(state, model)) \
-            if state.lambdas else 0.0
-        entry = {"rapidities": [_scalar_json(complex(v)) for v in state.lambdas],
-                 "max_residual": float(res)}
-        if lv is not None:
-            induced = bethe.lambdas_from_rapidities(state, eps)
-            agreement = max(abs(a - b) for a, b in zip(induced.values, lv.values)) \
-                if induced.values else 0.0
-            entry["lambda_agreement"] = float(abs(agreement))
-        doc["richardson"] = entry
+    routes = ("quad", "richardson") if args.route == "both" else (args.route,)
+    code, lv = EXIT_OK, None
+    for route in routes:
+        try:
+            if route == "quad":
+                lv = bethe.solve_quadratic_bethe(model, occupation)
+                res = max(abs(r) for r in bethe.quad_residuals(lv, model))
+                doc["quad"] = {"lambdas": [_scalar_json(v) for v in lv.values],
+                               "max_residual": float(res),
+                               "pairs": model.g * sum(lv.values) / 2}
+                dual = bethe.dual_transform(lv, model)
+                doc["dual_shift"] = [_scalar_json(v) for v in dual.values]
+            else:
+                doc["richardson"] = _richardson_entry(model, occupation, lv)
+        except NoConvergence as exc:
+            # with both routes, a stalled one reports in its own entry
+            if len(routes) == 1:
+                raise
+            doc[route], code = _error_json(exc), EXIT_NUMERICAL
     _emit(doc, args.out)
-    return EXIT_OK, doc
+    return code, doc
+
+
+def _richardson_entry(model, occupation, lv) -> dict:
+    """The rapidity route's entry, compared with the quadratic route's ``lv`` if given."""
+    levels = tuple(i for i, b in enumerate(occupation) if b)
+    state = bethe.solve_richardson(model, levels)
+    res = max(abs(r) for r in bethe.richardson_residuals(state, model)) \
+        if state.lambdas else 0.0
+    entry = {"rapidities": [_scalar_json(complex(v)) for v in state.lambdas],
+             "max_residual": float(res)}
+    if lv is not None:
+        induced = bethe.lambdas_from_rapidities(state, model.eps)
+        agreement = max(abs(a - b) for a, b in zip(induced.values, lv.values)) \
+            if induced.values else 0.0
+        entry["lambda_agreement"] = float(abs(agreement))
+    return entry
+
+
+def _error_json(exc) -> dict:
+    # attributes carry the state reached (NoConvergence: g_reached, residual, halvings)
+    return {"error": {"kind": type(exc).__name__, "detail": str(exc), **vars(exc)}}
 
 
 _COMMANDS = {"pf": _cmd_pf, "verify": _cmd_verify, "gamma": _cmd_gamma,
@@ -317,11 +336,10 @@ def run(argv) -> int:
         _emit({"error": {"kind": "usage", "detail": str(exc)}}, None)
         return EXIT_USAGE
     except (NoConvergence, NonFiniteEntry) as exc:
-        # attributes carry the state reached (NoConvergence: g_reached, residual, halvings)
-        _emit({"error": {"kind": type(exc).__name__, "detail": str(exc), **vars(exc)}}, None)
+        _emit(_error_json(exc), None)
         return EXIT_NUMERICAL
     except RGError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}}, None)
+        _emit(_error_json(exc), None)
         return EXIT_USAGE
 
 

@@ -178,6 +178,39 @@ class TestSolveQuadratic:
         induced = lambdas_from_rapidities(state, model.eps)
         assert max(abs(a - b) for a, b in zip(lv.values, induced.values)) < 1e-10
 
+    @pytest.mark.parametrize("n, g", [(16, 0.5), (24, 0.5), (32, 0.5), (16, 1.7)])
+    def test_half_filling_keeps_its_pair_count(self, n, g):
+        # summing the rapidity equations: g sum_i L_i / 2 = M for every M-pair
+        # state; these once converged to states with 9, 15, 22 and 16 pairs
+        m = n // 2
+        model = CouplingModel(g=g, eps=evenly_spaced(n), m=m)
+        lv = solve_quadratic_bethe(model, (1,) * m + (0,) * (n - m))
+        assert max(abs(r) for r in quad_residuals(lv, model)) < 1e-12
+        assert round(g * sum(lv.values) / 2) == m
+        induced = lambdas_from_rapidities(solve_richardson(model, tuple(range(m))), model.eps)
+        assert max(abs(a - b) for a, b in zip(induced.values, lv.values)) < 1e-8
+
+    def test_jacobian_budget(self, monkeypatch):
+        # the exact g = 0 start and the tangent predictor: about 18 Jacobians
+        calls = []
+        jacobian = bethe.quad_jacobian
+        monkeypatch.setattr(bethe, "quad_jacobian",
+                            lambda lv, model: calls.append(1) or jacobian(lv, model))
+        model = CouplingModel(g=0.5, eps=evenly_spaced(24), m=12)
+        solve_quadratic_bethe(model, (1,) * 12 + (0,) * 12)
+        assert 0 < len(calls) <= 30
+
+    def test_stalled_continuation_reports_coupling(self, monkeypatch):
+        # no Newton solve is accepted, so the halvings run out at the g = 0 start
+        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
+        monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 5)
+        model = CouplingModel(g=0.5, eps=evenly_spaced(4), m=2)
+        with pytest.raises(NoConvergence) as err:
+            solve_quadratic_bethe(model, (1, 1, 0, 0))
+        assert err.value.g_reached == 0.0
+        assert err.value.halvings == 6
+        assert not err.value.residual < 1
+
 
 class TestSolveRichardson:
     def test_single_rapidity_linear_case(self):
@@ -209,6 +242,17 @@ class TestSolveRichardson:
         # summing the equations over the rapidities: sum_i L_i = 2 M / g
         induced = lambdas_from_rapidities(state, model.eps)
         assert abs(sum(induced.values) - n / model.g) < 1e-9
+
+    def test_residual_budget_at_half_filling(self, monkeypatch):
+        # each step starts Newton from the tangent predictor: about 1,700
+        # evaluations, against 33,051 when it started from the last solution
+        calls = []
+        residuals = bethe._richardson_residuals_arr
+        monkeypatch.setattr(bethe, "_richardson_residuals_arr",
+                            lambda *args: calls.append(1) or residuals(*args))
+        model = CouplingModel(g=0.5, eps=evenly_spaced(16), m=8)
+        solve_richardson(model, tuple(range(8)))
+        assert len(calls) <= 5000
 
     def test_distinct_levels_required(self):
         model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=2)

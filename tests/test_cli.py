@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rgdwpf
@@ -410,6 +411,51 @@ class TestBethe:
         assert 0 < err["g_reached"] < 1.0
         assert err["halvings"] == 13
         assert not err["residual"] < bethe.RESIDUAL_TOL
+
+    def test_pair_count_at_half_filling(self, capsys):
+        # g * sum(L) / 2 is the number of pairs, 8 here; the quadratic route
+        # once returned a 9-pair state that disagreed with the rapidity route
+        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", ",".join(map(str, range(16))),
+                                      "--occupation", "1111111100000000", "--route", "both"])
+        assert code == 0
+        assert round(doc["quad"]["pairs"]) == 8
+        assert abs(doc["quad"]["pairs"] - 8) < 1e-9
+        assert doc["richardson"]["lambda_agreement"] < 1e-8
+
+    def test_stalled_route_reports_in_its_own_entry(self, capsys, monkeypatch):
+        import rgdwpf.bethe as bethe
+
+        monkeypatch.setattr(bethe, "_pair_rotations", lambda lams: [])
+        monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
+        code, doc = run_json(capsys, ["bethe", "--g", "1", "--eps", "0,1,2,3",
+                                      "--occupation", "1100", "--route", "both"])
+        assert code == 3
+        assert "error" not in doc
+        err = doc["richardson"]["error"]
+        assert err["kind"] == "NoConvergence"
+        assert set(err) == {"kind", "detail", "g_reached", "residual", "halvings"}
+        assert 0 < err["g_reached"] < 1.0
+        assert err["halvings"] == 13
+        assert doc["quad"]["max_residual"] < 1e-12
+        assert round(doc["quad"]["pairs"]) == 2
+        assert len(doc["dual_shift"]) == 4
+
+    def test_stalled_quad_route_keeps_the_rapidity_entry(self, capsys, monkeypatch):
+        import rgdwpf.bethe as bethe
+
+        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
+        monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 3)
+        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1,2,3",
+                                      "--occupation", "1100", "--route", "both"])
+        assert code == 3
+        err = doc["quad"]["error"]
+        assert err["kind"] == "NoConvergence"
+        assert err["g_reached"] == 0.0
+        assert err["halvings"] == 4
+        assert not err["residual"] < 1
+        assert "dual_shift" not in doc
+        assert doc["richardson"]["max_residual"] < 1e-12
+        assert "lambda_agreement" not in doc["richardson"]
 
     def test_non_finite_coupling_is_usage_error(self, capsys):
         for g in ("nan", "inf", "-inf"):
