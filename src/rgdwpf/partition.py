@@ -12,10 +12,12 @@ routes:
   2^(N-2) products of Omega row sums, under the work guard of ``linalg.permanent``;
 * the determinant route: an N x N matrix contracted from structure
   coefficients (multiset sums over the inhomogeneities) and the
-  log-derivative hierarchy of the rapidity polynomial (``gamma``: one
-  product truncated at t^two_s); polynomial in N (the structure
-  coefficients still enumerate multisets, so the cost grows
-  exponentially in two_s).
+  eigenvalue-based variables L(eps_j) = sum_i 1/(eps_j - nu_i), j >= 2,
+  with, at the large spin, e_0..e_two_s of y_i = 1/(eps_1 - nu_i)
+  (e_1 = L(eps_1); ``gamma``: one product truncated at t^two_s).
+  ``build_J_higher`` takes these values from any source; polynomial in N
+  (the structure coefficients still enumerate multisets, so the cost
+  grows exponentially in two_s).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
 rationals.  Every builder reads a float as its exact dyadic value, so a
@@ -31,7 +33,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .errors import CardinalityMismatch, DegenerateEpsilons
-from .gamma import GammaTable, _check_no_poles, build_gamma_table
+from .gamma import _check_no_poles, build_gamma_table
 from .linalg import (
     Scalar,
     SquareMatrix,
@@ -55,8 +57,8 @@ class SpinSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", tuple(canonical(e) for e in self.epsilons))
-        if self.two_s < 0:
-            raise ValueError("two_s must be >= 0")
+        if isinstance(self.two_s, bool) or not isinstance(self.two_s, int) or self.two_s < 0:
+            raise ValueError("two_s must be an integer >= 0")
         if len(set(self.epsilons)) != len(self.epsilons):
             raise DegenerateEpsilons("inhomogeneities must be pairwise distinct")
         if self.n < 1:
@@ -90,12 +92,14 @@ class PartitionValue:
 class StructureCoefficients:
     """Rapidity-independent coefficients of the N x N determinant matrix.
 
-    ``c11[n]`` multiplies the order-n hierarchy value in the (1,1) entry.
-    ``c1j[j][n]`` (spin index j = 2..N) carries the sign prefactor
-    1/(eps_j - eps_1), i.e. it is the negative of the bare multiset sum,
-    matching the convention of the worked spin-3/2 listing.  ``c0_diag[i]``
-    is the constant part of row i's diagonal and ``c1_diag`` (always 1)
-    multiplies its hierarchy term; ``c0_off[(i, j)]`` = 1/(eps_j - eps_i).
+    ``c11[n]`` multiplies (-1)^n e_n, e_n the n-th elementary symmetric
+    polynomial of 1/(eps_1 - nu_i), in the (1,1) entry; ``c1j[j][n]`` (spin
+    index j = 2..N) multiplies it in the (1,j) entry and carries the sign
+    prefactor 1/(eps_j - eps_1), i.e. it is the negative of the bare
+    multiset sum, matching the convention of the worked spin-3/2 listing.
+    ``c0_diag[i]`` is the constant part of row i's diagonal and ``c1_diag``
+    (always 1) multiplies its -L(eps_i); ``c0_off[(i, j)]`` =
+    1/(eps_j - eps_i).
     """
 
     c11: tuple
@@ -187,54 +191,48 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
 def build_J_spin_half(eps, nu) -> SquareMatrix:
     """N x N determinant matrix for a pure spin-1/2 system with M >= N rapidities.
 
-    :func:`build_J_higher` at two_s = 1 on the hierarchy of all M rapidities
-    (G_0 = -1, G_1 = -L at every site), exact at the inputs' dyadic values.
-    Its determinant is the sum of the Cauchy permanents over all N-subsets
-    of the rapidities: for M = N, the permanent of the Cauchy matrix.
+    :func:`build_J_higher` at two_s = 1 on tower (1, L(eps_1)) and lambdas
+    L(eps_2..N), L taken over all M rapidities; exact at the inputs' dyadic
+    values.  Its determinant is the sum of the Cauchy permanents over all
+    N-subsets of the rapidities: for M = N, the permanent of the Cauchy
+    matrix.
     """
     eps, nu = tuple(map(dyadic, eps)), tuple(map(dyadic, nu))
     if len(nu) < len(eps):
         raise CardinalityMismatch(f"{len(nu)} rapidities vs {len(eps)} inhomogeneities")
     system = SpinSystem(1, eps)
     _check_no_poles(nu, eps)
-    g1 = [-_inverse_gap_sum(e, nu) for e in eps]
-    hierarchy = GammaTable(system=system, gammas_at_eps1=(-1, g1[0]),
-                           gamma1_at_others=dict(enumerate(g1[1:], start=2)))
-    return build_J_higher(system, hierarchy)
+    lambdas = [_inverse_gap_sum(e, nu) for e in eps]
+    return build_J_higher(system, (1, lambdas[0]), lambdas[1:])
 
 
-def _taylor_tower(gammas):
-    # Rescale G_n -> (-1)^(n+1) G_n / n!, whose order-0 value is +1.  Row 1
-    # must contract against this normalization; contracting the raw G_n
-    # values breaks the equality with the permanent route.
-    return tuple(Fraction((-1) ** (k + 1) * dyadic(g), factorial(k))
-                 for k, g in enumerate(gammas))
-
-
-def build_J_higher(system: SpinSystem, gamma: GammaTable) -> SquareMatrix:
+def build_J_higher(system: SpinSystem, tower, lambdas) -> SquareMatrix:
     """N x N determinant matrix for one higher spin plus N-1 spins 1/2.
 
-    Exact: float hierarchy values are read as their dyadic values.  With
-    two_s = 1 and the hierarchy of any M >= N rapidities this is
-    :func:`build_J_spin_half`.
+    ``tower`` = (e_0, ..., e_2S), the elementary symmetric polynomials of
+    y_i = 1/(eps_1 - nu_i) (e_0 = 1, e_1 = L(eps_1)), and ``lambdas`` =
+    (L(eps_2), ..., L(eps_N)), L(z) = sum_i 1/(z - nu_i).  Row 1 contracts
+    the structure coefficients against (-1)^k e_k; row i's diagonal is
+    c0_diag[i] - c1_diag L(eps_i).  Exact: floats are read as their dyadic
+    values.  Wrong lengths raise :class:`CardinalityMismatch`.
     """
-    if gamma.system != system:
-        raise CardinalityMismatch("gamma table was built for a different system")
-    if len(gamma.gammas_at_eps1) != system.two_s + 1:
-        raise CardinalityMismatch("gamma table too short for this spin length")
+    tower, lambdas = tuple(map(dyadic, tower)), tuple(map(dyadic, lambdas))
     n = system.n
     two_s = system.two_s
+    if len(tower) != two_s + 1 or len(lambdas) != n - 1:
+        raise CardinalityMismatch(
+            f"need {two_s + 1} tower values and {n - 1} lambdas for this system, "
+            f"got {len(tower)} and {len(lambdas)}")
     fact = factorial(two_s)
     coeffs = structure_coefficients(system)
-    tower = _taylor_tower(gamma.gammas_at_eps1)
-    g1 = gamma.gamma1_at_others
+    signed = tuple(-e if k % 2 else e for k, e in enumerate(tower))
 
     rows = [[0] * n for _ in range(n)]
-    rows[0][0] = fact * sum(coeffs.c11[k] * tower[k] for k in range(two_s + 1))
+    rows[0][0] = fact * sum(coeffs.c11[k] * signed[k] for k in range(two_s + 1))
     for j in range(2, n + 1):
-        rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * tower[k] for k in range(two_s))
+        rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * signed[k] for k in range(two_s))
     for i in range(2, n + 1):
-        rows[i - 1][i - 1] = coeffs.c0_diag[i] + coeffs.c1_diag * dyadic(g1[i])
+        rows[i - 1][i - 1] = coeffs.c0_diag[i] - coeffs.c1_diag * lambdas[i - 2]
         for j in range(1, n + 1):
             if j != i:
                 rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]
@@ -244,27 +242,25 @@ def build_J_higher(system: SpinSystem, gamma: GammaTable) -> SquareMatrix:
 def build_J_limit(system: SpinSystem) -> SquareMatrix:
     """Rapidity-independent limit of the determinant matrix (all rapidities large).
 
-    As every rapidity grows, G_0 stays -1 while every other hierarchy
-    value tends to 0, so this is :func:`build_J_higher` on that limit
-    table.  Its determinant vanishes identically, which is what forces the
-    partition function to zero in the limit.
+    As every rapidity grows, e_0 stays 1 while every e_k (k >= 1) and every
+    L(eps_j) tend to 0, so this is :func:`build_J_higher` at tower
+    (1, 0, ..., 0) and L = 0.  Its determinant vanishes identically, which
+    is what forces the partition function to zero in the limit.
     """
-    limit = GammaTable(system=system, gammas_at_eps1=(-1,) + (0,) * system.two_s,
-                       gamma1_at_others=dict.fromkeys(range(2, system.n + 1), 0))
-    return build_J_higher(system, limit)
+    return build_J_higher(system, (1,) + (0,) * system.two_s, (0,) * (system.n - 1))
 
 
 def z_determinant(system: SpinSystem, nu) -> PartitionValue:
     """Partition function via the N x N determinant; polynomial in N.
 
-    Builds the hierarchy table, assembles the matrix and evaluates its
-    exact determinant; float inputs give Z correctly rounded.  No size
-    guard: this is the route that stays cheap when the permanent is out of
-    reach.
+    Evaluates the tower and the L values of the rapidities, assembles the
+    matrix and evaluates its exact determinant; float inputs give Z
+    correctly rounded.  No size guard: this is the route that stays cheap
+    when the permanent is out of reach.
     """
     nu = tuple(nu)
     exact = all(map(is_exact, system.epsilons + nu))
-    z = determinant(build_J_higher(system, build_gamma_table(system, nu)))
+    z = determinant(build_J_higher(system, *build_gamma_table(system, nu)))
     return PartitionValue(value=z if exact else rounded(z), method="determinant",
                           system=system, rapidities=nu)
 

@@ -8,8 +8,8 @@ elimination on big integers, the hierarchy by exact polynomial
 differentiation of the rapidity polynomial, by the Leibniz recursion on
 the derivative tower of L = Q'/Q and by the explicit partition sum over
 exponent vectors.  The hierarchy oracles take the tower as a plain tuple
-and share no code with ``rgdwpf.gamma``, whose ``GammaTable`` container
-is the only name imported from it.  The residue probe samples
+and share no code with ``rgdwpf.gamma``; nothing is imported from it.
+The residue probe samples
 ``z_determinant`` next to a pole: it checks the order of the pole, not
 the determinant.
 The assembly of the determinant matrix is summed term by term, one
@@ -25,8 +25,7 @@ from math import comb, factorial, lcm
 import pytest
 
 from rgdwpf.errors import ComplexInput
-from rgdwpf.gamma import GammaTable
-from rgdwpf.linalg import SquareMatrix, is_exact
+from rgdwpf.linalg import SquareMatrix
 from rgdwpf.partition import (
     SpinSystem,
     StructureCoefficients,
@@ -320,15 +319,18 @@ def lambda_derivatives_by_fraction_sums(nu, z, n_max):
 
 
 def gamma_table_by_fraction_sums(system, nu):
+    """(tower, lambdas) as ``build_gamma_table`` returns them, from term-by-term sums.
+
+    tower[k] = e_k = -G_k / k! with G from the Leibniz recursion on the
+    derivative tower of L at eps_1; lambdas[j - 2] = L(eps_j) for j >= 2.
+    """
     eps = system.epsilons
     two_s = system.two_s
     gammas = gamma_by_leibniz(
         lambda_derivatives_by_fraction_sums(nu, eps[0], max(two_s - 1, 0)), two_s)
-    gamma1 = {}
-    for j in range(2, system.n + 1):
-        lam = sum(1 / (eps[j - 1] - v) for v in nu)
-        gamma1[j] = -lam
-    return GammaTable(system=system, gammas_at_eps1=gammas, gamma1_at_others=gamma1)
+    tower = tuple(Fraction(-g, factorial(k)) for k, g in enumerate(gammas))
+    lambdas = tuple(sum(1 / (e - v) for v in nu) for e in eps[1:])
+    return tower, lambdas
 
 
 def _inv_prod(eps1, multiset):
@@ -395,22 +397,18 @@ def j_spin_half_by_fraction_sums(eps, nu):
 
 def j_higher_by_fraction_sums(system, nu):
     """The (2S, N) determinant matrix from the term-by-term sums above."""
-    gamma = gamma_table_by_fraction_sums(system, nu)
+    tower, lambdas = gamma_table_by_fraction_sums(system, nu)
     coeffs = structure_coefficients_by_fraction_sums(system)
     n = system.n
     two_s = system.two_s
     fact = factorial(two_s)
-    tower = []
-    for k, g in enumerate(gamma.gammas_at_eps1):
-        term = (-1) ** (k + 1) * g
-        fact_k = factorial(k)
-        tower.append(Fraction(term, fact_k) if is_exact(term) else term / fact_k)
+    signed = [(-1) ** k * e for k, e in enumerate(tower)]
     rows = [[0] * n for _ in range(n)]
-    rows[0][0] = fact * sum(coeffs.c11[k] * tower[k] for k in range(two_s + 1))
+    rows[0][0] = fact * sum(coeffs.c11[k] * signed[k] for k in range(two_s + 1))
     for j in range(2, n + 1):
-        rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * tower[k] for k in range(two_s))
+        rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * signed[k] for k in range(two_s))
     for i in range(2, n + 1):
-        rows[i - 1][i - 1] = coeffs.c0_diag[i] + coeffs.c1_diag * gamma.gamma1_at_others[i]
+        rows[i - 1][i - 1] = coeffs.c0_diag[i] - coeffs.c1_diag * lambdas[i - 2]
         for j in range(1, n + 1):
             if j != i:
                 rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]

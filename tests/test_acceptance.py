@@ -102,7 +102,7 @@ def test_criterion_03_spin_half_reduction():
         for _ in range(5):
             system, nu = random_instance(1, n, rng)
             table = build_gamma_table(system, nu)
-            assert build_J_higher(system, table) == build_J_spin_half(system.epsilons, nu)
+            assert build_J_higher(system, *table) == build_J_spin_half(system.epsilons, nu)
     _announce(3, "two_s = 1 matrix is entrywise identical to the spin-1/2 matrix, N = 2..6")
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -24,6 +25,11 @@ from oracles import (
     rand_distinct_fractions,
     rand_fraction,
 )
+
+
+def gammas_of(tower):
+    """G_k = -k! e_k from the tower (e_0, ..., e_2S) that ``build_gamma_table`` returns."""
+    return tuple(-factorial(k) * e for k, e in enumerate(tower))
 
 
 def rand_point(rng, nu):
@@ -159,7 +165,7 @@ class TestHierarchy:
         eps1 = system.epsilons[0]
         want = hierarchy_by_polynomials(nu, eps1, two_s)
         assert hierarchy(nu, eps1, two_s) == want
-        assert build_gamma_table(system, nu).gammas_at_eps1 == want
+        assert gammas_of(build_gamma_table(system, nu)[0]) == want
 
     def test_exact_zeros_beyond_omega(self):
         rng = random.Random(28)
@@ -187,21 +193,24 @@ class TestHierarchy:
 
 
 class TestGammaTable:
+    """``build_gamma_table`` returns (tower, lambdas): e_0..e_2S at eps_1 and L(eps_2..N)."""
+
     def test_minimal_system(self):
         system = SpinSystem(two_s=1, epsilons=(0,))
-        table = build_gamma_table(system, (2,))
-        assert table.gammas_at_eps1 == (-1, Fraction(1, 2))
-        assert table.gamma1_at_others == {}
+        tower, lambdas = build_gamma_table(system, (2,))
+        assert tower == (1, Fraction(-1, 2))
+        assert gammas_of(tower) == (-1, Fraction(1, 2))
+        assert lambdas == ()
 
     def test_matches_polynomial_oracle(self):
         rng = random.Random(25)
         eps = tuple(rand_distinct_fractions(rng, 2))
         system = SpinSystem(two_s=2, epsilons=eps)
         nu = tuple(rand_distinct_fractions(rng, system.omega, avoid=eps))
-        table = build_gamma_table(system, nu)
-        for n, g in enumerate(table.gammas_at_eps1):
+        tower, lambdas = build_gamma_table(system, nu)
+        for n, g in enumerate(gammas_of(tower)):
             assert g == gamma_by_polynomials(nu, eps[0], n)
-        assert table.gamma1_at_others[2] == gamma_by_polynomials(nu, eps[1], 1)
+        assert -lambdas[0] == gamma_by_polynomials(nu, eps[1], 1)
 
     def test_gamma0_is_always_minus_one(self):
         rng = random.Random(26)
@@ -209,7 +218,8 @@ class TestGammaTable:
             eps = tuple(rand_distinct_fractions(rng, n))
             system = SpinSystem(two_s=two_s, epsilons=eps)
             nu = tuple(rand_distinct_fractions(rng, system.omega, avoid=eps))
-            assert build_gamma_table(system, nu).gammas_at_eps1[0] == -1
+            tower, _ = build_gamma_table(system, nu)
+            assert tower[0] == 1 and gammas_of(tower)[0] == -1
 
     def test_rapidity_permutation_invariance(self):
         rng = random.Random(27)
@@ -218,9 +228,7 @@ class TestGammaTable:
         nu = list(rand_distinct_fractions(rng, system.omega, avoid=eps))
         reference = build_gamma_table(system, tuple(nu))
         rng.shuffle(nu)
-        shuffled = build_gamma_table(system, tuple(nu))
-        assert shuffled.gammas_at_eps1 == reference.gammas_at_eps1
-        assert shuffled.gamma1_at_others == reference.gamma1_at_others
+        assert build_gamma_table(system, tuple(nu)) == reference
 
     def test_errors(self):
         system = SpinSystem(two_s=1, epsilons=(0, 1))
@@ -252,14 +260,11 @@ class TestAgainstTermByTermSums:
 
     @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
     def test_gamma_table(self, two_s, n):
-        # the values only: the table's system keeps the caller's epsilons, float or exact
         def package(eps, nu):
-            table = build_gamma_table(SpinSystem(two_s, eps), nu)
-            return table.gammas_at_eps1, table.gamma1_at_others
+            return build_gamma_table(SpinSystem(two_s, eps), nu)
 
         def oracle(eps, nu):
-            table = gamma_table_by_fraction_sums(SpinSystem(two_s, eps), nu)
-            return table.gammas_at_eps1, table.gamma1_at_others
+            return gamma_table_by_fraction_sums(SpinSystem(two_s, eps), nu)
 
         instances = assembly_instances(two_s, n, "gamma")
         assert identical(package(*instances["exact"]), oracle(*instances["exact"]))

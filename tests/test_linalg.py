@@ -298,7 +298,7 @@ class TestExactKernel:
 
     def test_wide_spin_half_matrix(self):
         system, nu = random_instance(1, 36, random.Random(114))
-        j = build_J_higher(system, build_gamma_table(system, nu))
+        j = build_J_higher(system, *build_gamma_table(system, nu))
         assert determinant(j) == det_by_bareiss(j.entries)
 
     def test_primes_continue_past_the_import_time_window(self):

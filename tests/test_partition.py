@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from rgdwpf import partition
+from rgdwpf.bethe import RapidityState, lambdas_from_rapidities
 from rgdwpf.errors import (
     CardinalityMismatch,
     ComplexInput,
@@ -36,11 +37,13 @@ from oracles import (
     ASSEMBLY_GRID,
     assembly_instances,
     assert_reads_floats_exactly,
+    gamma_table_by_fraction_sums,
     identical,
     j_higher_by_fraction_sums,
     j_spin_half_by_fraction_sums,
     perm_by_permutation_sum,
     rand_distinct_fractions,
+    rand_fraction,
     spin_three_half_worked_coefficients,
     structure_coefficients_by_fraction_sums,
     z_by_attachment_sum,
@@ -65,6 +68,11 @@ class TestSpinSystem:
     def test_omega(self):
         assert SpinSystem(two_s=3, epsilons=(0, 1)).omega == 4
         assert SpinSystem(two_s=0, epsilons=(0, 1, 2)).omega == 2
+
+    @pytest.mark.parametrize("two_s", [1.5, 2.0, True, -1])
+    def test_two_s_must_be_a_non_negative_int(self, two_s):
+        with pytest.raises(ValueError, match="two_s must be an integer >= 0"):
+            SpinSystem(two_s=two_s, epsilons=(0, 1))
 
 
 class TestCauchyMatrix:
@@ -241,13 +249,12 @@ class TestHigherSpinMatrix:
         for n in range(2, 7):
             system, nu = random_instance(1, n, rng)
             table = build_gamma_table(system, nu)
-            assert build_J_higher(system, table) == build_J_spin_half(system.epsilons, nu)
+            assert build_J_higher(system, *table) == build_J_spin_half(system.epsilons, nu)
 
     def test_determinant_matches_permanent_route(self):
         system = SpinSystem(two_s=2, epsilons=(Fraction(0), Fraction(1)))
         nu = (Fraction(2), Fraction(3), Fraction(5))
-        table = build_gamma_table(system, nu)
-        det = determinant(build_J_higher(system, table))
+        det = determinant(build_J_higher(system, *build_gamma_table(system, nu)))
         assert det == z_permanent(system, nu).value
         assert det == Fraction(19, 60)
 
@@ -267,12 +274,78 @@ class TestHigherSpinMatrix:
         assert z_determinant(relabeled, nu).value == reference
 
     def test_mismatched_table_rejected(self):
+        # the tower holds 2S + 1 values and lambdas N - 1; one more or one less is refused
         rng = random.Random(38)
-        system, nu = random_instance(2, 2, rng)
-        other = SpinSystem(two_s=2, epsilons=(Fraction(10), Fraction(11)))
-        table = build_gamma_table(other, nu)
-        with pytest.raises(CardinalityMismatch):
-            build_J_higher(system, table)
+        system, nu = random_instance(2, 3, rng)
+        tower, lambdas = build_gamma_table(system, nu)
+        build_J_higher(system, tower, lambdas)
+        for bad_tower, bad_lambdas in ((tower[:-1], lambdas), (tower + (Fraction(1),), lambdas),
+                                       (tower, lambdas[:-1]), (tower, lambdas + (Fraction(1),))):
+            with pytest.raises(CardinalityMismatch):
+                build_J_higher(system, bad_tower, bad_lambdas)
+
+
+class TestLambdaInput:
+    """``build_J_higher`` as the entry point for eigenvalue-based variables from any source."""
+
+    def test_constant_lambda_at_spin_half(self):
+        """At 2S = 1 with tower (1, c) and every L(eps_j) = c, det J = (-c)^N.
+
+        At 2S = 1, J = A - cI with A_ij = 1/(eps_j - eps_i) for i != j and
+        A_ii = sum_{k != i} 1/(eps_i - eps_k).  Let D be the differentiation
+        matrix on the Lagrange basis at the nodes eps, D_ij = l_j'(eps_i):
+        D_ij = (w_j / w_i) / (eps_i - eps_j) for i != j and D_ii = A_ii, with
+        the barycentric weights w_j = 1 / prod_{k != j} (eps_j - eps_k).  With
+        W = diag(w), (W D W^-1)_ij = 1/(eps_i - eps_j) for i != j, so A is
+        the transpose of W D W^-1.  D maps the values of a polynomial p of degree < N at
+        the nodes to those of p', and d/dz is nilpotent on those polynomials,
+        so D^N = 0 and A^N = 0.  A nilpotent A has characteristic polynomial
+        det(zI - A) = z^N, so det(A - cI) = (-1)^N c^N = (-c)^N.
+        """
+        rng = random.Random(50)
+        for n in range(1, 11):
+            eps = []
+            while len(eps) < n:  # non-integer, pairwise distinct levels
+                x = rand_fraction(rng)
+                if x.denominator > 1 and x not in eps:
+                    eps.append(x)
+            system = SpinSystem(1, tuple(eps))
+            for c in (Fraction(1, 3), Fraction(-5, 2), Fraction(7), rand_fraction(rng)):
+                j = build_J_higher(system, (1, c), (c,) * (n - 1))
+                assert determinant(j) == (-c) ** n
+
+    def test_bethe_lambdas_at_spin_half(self):
+        # L(eps_j) from the Bethe layer's evaluation on exact rapidities
+        rng = random.Random(51)
+        for n in range(1, 9):
+            eps = tuple(rand_distinct_fractions(rng, n))
+            nu = partition.random_rapidities(n, eps, rng)
+            lambdas = lambdas_from_rapidities(RapidityState(nu), eps).values
+            system = SpinSystem(1, eps)
+            z = determinant(build_J_higher(system, (1, lambdas[0]), lambdas[1:]))
+            assert z == z_permanent(system, nu).value
+
+    def test_reads_floats_exactly(self):
+        system, nu = random_instance(3, 4, random.Random(52))
+        tower, lambdas = build_gamma_table(system, nu)
+        f_tower, f_lambdas = tuple(map(float, tower)), tuple(map(float, lambdas))
+        got = build_J_higher(system, f_tower, f_lambdas)
+        assert got == build_J_higher(system, tuple(map(Fraction, f_tower)),
+                                     tuple(map(Fraction, f_lambdas)))
+        with pytest.raises(ComplexInput):
+            build_J_higher(system, tuple(map(complex, f_tower)), f_lambdas)
+
+    @pytest.mark.parametrize("two_s, n", [(2, 2), (2, 4), (3, 3), (6, 3)])
+    def test_oracle_tower_at_higher_spin(self, two_s, n):
+        # e_k = -G_k / k! from the Leibniz recursion on term-by-term sums, and
+        # L(eps_j) from plain Fraction sums: nothing from rgdwpf.gamma
+        rng = random.Random(f"lambda-input:{two_s}:{n}")
+        eps = tuple(rand_distinct_fractions(rng, n))
+        system = SpinSystem(two_s, eps)
+        nu = partition.random_rapidities(system.omega, eps, rng)
+        tower, lambdas = gamma_table_by_fraction_sums(system, nu)
+        z = determinant(build_J_higher(system, tower, lambdas))
+        assert z == z_permanent(system, nu).value
 
 
 class TestLimitMatrix:
@@ -307,7 +380,8 @@ class TestLimitMatrix:
             limit = build_J_limit(system)
             gaps = []
             for t in (10 ** 3, 10 ** 6):
-                scaled = build_J_higher(system, build_gamma_table(system, [v * t for v in nu]))
+                scaled = build_J_higher(system,
+                                        *build_gamma_table(system, [v * t for v in nu]))
                 gaps.append(max(abs(a - b) for ra, rb in zip(scaled.entries, limit.entries)
                                 for a, b in zip(ra, rb)))
             assert gaps[1] * 100 <= gaps[0]
@@ -488,7 +562,7 @@ class TestAssemblyAgainstTermByTermSums:
     def test_higher_spin_matrix(self, two_s, n):
         def package(eps, nu):
             system = SpinSystem(two_s, eps)
-            return build_J_higher(system, build_gamma_table(system, nu)).entries
+            return build_J_higher(system, *build_gamma_table(system, nu)).entries
 
         def oracle(eps, nu):
             return j_higher_by_fraction_sums(SpinSystem(two_s, eps), nu).entries
