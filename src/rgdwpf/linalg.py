@@ -58,8 +58,10 @@ PERMANENT_MAX_TERMS = 20 << 19
 _PRIME_TOP = 1 << 26
 #: Primes sieved per window; the first window below 2^26 holds 7,294 primes.
 _WINDOW = 1 << 17
-#: Primes eliminated together as one (n, n, block) float64 array.
-_BLOCK = 16
+#: Primes eliminated together: (n, n, block) float64 residues and a spare, 2 x 0.5 MB at n = 36.
+_BLOCK = 48
+#: Residues joined per group, then the groups' results: at 277 primes 16 beats 48 or 64.
+_CRT_GROUP = 16
 #: Limbs per float64 BLAS product: 2^10 products below 2^42, plus a residue, stay below 2^53.
 _LIMB_CHUNK = 1 << 10
 
@@ -179,8 +181,9 @@ def _int_rows_and_scale(entries):
     int_rows = []
     scale = 1
     for r in entries:
-        mult = lcm(*(x.denominator for x in r))
-        int_rows.append([x.numerator * (mult // x.denominator) for x in r])
+        pairs = [x.as_integer_ratio() for x in r]
+        mult = lcm(*(d for _, d in pairs))
+        int_rows.append([a * (mult // d) for a, d in pairs])
         scale *= mult
     return int_rows, scale
 
@@ -265,11 +268,11 @@ def determinant(m: SquareMatrix) -> Fraction | float:
 
     Exact mode returns the exact rational; a float matrix, its entries'
     exact determinant correctly rounded (:func:`dyadic`, :func:`rounded`).
-    Rows are cleared to integers;
-    the Hadamard bound |det| <= prod_i |row_i| fixes how many primes below
-    2^26 are needed, one per 26 bits of twice the bound; blocks of 16
-    primes are eliminated together in float64 and Chinese remaindering
-    gives the integer determinant.  After every step residues are brought
+    Rows are cleared to integers; the Hadamard bound |det| <= prod_i |row_i|
+    fixes how many primes below 2^26 are needed, one per 26 bits of twice the
+    bound; blocks of 48 primes are eliminated together in float64, on two
+    arrays that swap every step, and Chinese remaindering gives the integer
+    determinant.  After every step residues are brought
     back into |r| <= p/2 + 1 by r = x - p * rint(x * (1/p)), and every step
     is exact: each factor of the division-free update piv * a - c * d is at
     most p/2 + 1, so |update| <= 2 (p/2 + 1)^2 < 2^51; the computed
@@ -304,23 +307,25 @@ def _det_multimodular(entries) -> Fraction:
     # larger than the limbs: all primes at once when the n^2 entries outnumber them
     group = _BLOCK * max(1, len(limbs) // _BLOCK)
     pivots, sign = np.empty((n, len(p))), np.ones(len(p))
+    a, spare = np.empty((2, n * n * _BLOCK))  # each block's residues and its one spare
     for b in range(0, len(p), _BLOCK):
         if b % group == 0:
             powers = _limb_powers(limbs.shape[1], p[b:b + group])
         block = slice(b, b + _BLOCK)
-        residues = _reduce(limbs, signs, powers[:, b % group:b % group + _BLOCK],
-                           p[block], pinv[block])
-        _eliminate(residues.reshape(n, n, -1),
-                   p[block], pinv[block], pivots[:, block], sign[block])
+        size = n * n * len(p[block])
+        _reduce(limbs, signs, powers[:, b % group:b % group + _BLOCK], p[block], pinv[block],
+                a[:size].reshape(n * n, -1), spare[:size].reshape(n * n, -1))
+        _eliminate(a, spare, p[block], pinv[block], pivots[:, block], sign[block])
     # each step scales the determinant by piv once per row below the pivot, so with
     # P_k the product of the first k + 1 pivots, det = sign * P_{n-1} / prod_{k<n-1} P_k
-    prefix, denom = np.ones(len(p)), np.ones(len(p))
+    prefix, denom, scratch = np.ones(len(p)), np.ones(len(p)), np.empty(len(p))
     for piv in pivots:
-        denom = _mod(denom * prefix, p, pinv)
-        prefix = _mod(prefix * piv, p, pinv)
+        denom = _mod(denom * prefix, p, pinv, scratch)
+        prefix = _mod(prefix * piv, p, pinv, scratch)
     dets = [int(num) * pow(int(den), -1, q) % q if num else 0
             for num, den, q in zip((sign * prefix).tolist(), denom.tolist(), primes)]
-    blocks = [_crt(dets[b:b + _BLOCK], primes[b:b + _BLOCK]) for b in range(0, len(p), _BLOCK)]
+    blocks = [_crt(dets[b:b + _CRT_GROUP], primes[b:b + _CRT_GROUP])
+              for b in range(0, len(p), _CRT_GROUP)]
     det, modulus = _crt([r for r, _ in blocks], [q for _, q in blocks])
     if 2 * det > modulus:
         det -= modulus
@@ -338,15 +343,15 @@ def _crt(residues, moduli):
 
 def _limbs(values):
     """|values| as float64 rows of 16-bit limbs, (values, limbs), and their signs as a column."""
-    width = max(abs(x).bit_length() for x in values) // 16 + 1
-    buf = b"".join(abs(x).to_bytes(2 * width, "little") for x in values)
+    width = max(map(int.bit_length, values)) // 16 + 1
+    buf = b"".join([abs(x).to_bytes(2 * width, "little") for x in values])
     limbs = np.frombuffer(buf, dtype="<u2").reshape(len(values), width).astype(np.float64)
-    return limbs, np.array([[-1.0 if x < 0 else 1.0] for x in values])
+    return limbs, np.array([-1.0 if x < 0 else 1.0 for x in values])[:, None]
 
 
-def _mod(x, p, pinv):
-    """x - p * rint(x * pinv), in place; exact for float64 integers |x| < 2^53."""
-    q = x * pinv  # the one temporary
+def _mod(x, p, pinv, q):
+    """x - p * rint(x * pinv), in place, with scratch ``q`` shaped as x; exact for |x| < 2^53."""
+    np.multiply(x, pinv, out=q)
     x -= np.multiply(np.rint(q, out=q), p, out=q)
     return x
 
@@ -365,37 +370,42 @@ def _limb_powers(width, p):
     return powers.astype(np.float64)
 
 
-def _reduce(limbs, signs, powers, p, pinv):
-    """The values modulo each prime of ``p``: float64 (values, len(p)), |entries| <= p/2 + 1.
+def _reduce(limbs, signs, powers, p, pinv, res, tmp):
+    """Writes the values modulo each prime of ``p`` to ``res``, |entries| <= p/2 + 1.
 
-    ``limbs`` and ``signs`` come from :func:`_limbs`, ``powers`` from :func:`_limb_powers`.
+    ``limbs``, ``signs`` from :func:`_limbs`, ``powers`` from :func:`_limb_powers`; ``res``
+    and the scratch ``tmp`` contiguous float64 (values, len(p)).
     """
-    res = np.zeros((len(limbs), len(p)))
+    res[:] = 0
     for c in range(0, limbs.shape[1], _LIMB_CHUNK):
         # float64 BLAS product, exact in any summation order, FMA included: every
         # limb * power is an integer below 2^16 * 2^26 = 2^42, so a chunk's sum stays
         # below 2^52 and, with the residue carried in res, below 2^53
-        res += limbs[:, c:c + _LIMB_CHUNK] @ powers[c:c + _LIMB_CHUNK]
-        _mod(res, p, pinv)
+        res += np.matmul(limbs[:, c:c + _LIMB_CHUNK], powers[c:c + _LIMB_CHUNK], out=tmp)
+        _mod(res, p, pinv, tmp)
     res *= signs
-    return res
 
 
-def _eliminate(a, p, pinv, pivots, sign):
-    """Division-free elimination of each a[:, :, b] (n, n, B) modulo p[b], overwriting ``a``.
+def _eliminate(a, spare, p, pinv, pivots, sign):
+    """Division-free elimination of the (n, n, B) residues in a[:n * n * B], lane b modulo p[b].
 
-    Writes the pivots to pivots[:, b] and flips sign[b] per row swap.  Each
-    step builds the trailing block as a new contiguous array; a pivot row is
-    searched for only when some pivot vanishes.
+    ``a`` and ``spare`` are flat float64 arrays that swap every step, the one not written
+    to serving as scratch.  Writes the pivots to pivots[:, b], flips sign[b] per row swap.
+    Passes run along whole rows, (m, m B): only c_i * r_j has B-long inner loops.
     """
-    for k in range(len(a)):
-        if np.count_nonzero(a[0, 0]) < len(p):
-            r = np.argmax(a[:, 0] != 0, axis=0)  # row 0 when the column is zero mod p
+    n, width = pivots.shape
+    tiled = np.array([p, pinv, p])[:, None].repeat(n - 1, axis=1).reshape(3, -1)  # p, 1/p, piv
+    for m in range(n, 1, -1):
+        lanes, row = a[:m * m * width].reshape(m, m, width), (m - 1) * width
+        if np.count_nonzero(lanes[0, 0]) < width:
+            r = np.argmax(lanes[:, 0] != 0, axis=0)  # row 0 when the column is zero mod p
             b = np.flatnonzero(r)
-            a[0, :, b], a[r[b], :, b] = a[r[b], :, b], a[0, :, b]
+            lanes[0, :, b], lanes[r[b], :, b] = lanes[r[b], :, b], lanes[0, :, b]
             sign[b] = -sign[b]
-        pivots[k] = a[0, 0]  # a copy, so no view keeps an old block alive
-        rest = a[1:, 1:] * pivots[k]  # row_i <- piv * row_i - a_i0 * row_0
-        rest -= a[1:, :1] * a[:1, 1:]
-        a = _mod(rest, p, pinv)
-
+        pivots[n - m] = tiled[2, :row].reshape(m - 1, width)[:] = lanes[0, 0]  # two copies
+        out, rest = spare[:(m - 1) * row].reshape(m - 1, row), lanes.reshape(m, -1)[1:, width:]
+        np.multiply(lanes[1:, :1], lanes[0, 1:], out=out.reshape(m - 1, m - 1, width))
+        np.subtract(np.multiply(rest, tiled[2, :row], out=rest), out, out=out)  # piv a - c d
+        _mod(out, tiled[0, :row], tiled[1, :row], a[:(m - 1) * row].reshape(m - 1, row))
+        a, spare = spare, a
+    pivots[n - 1] = a[:width]

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -227,6 +228,11 @@ def sylvester(order):
     return h
 
 
+def wide_spin_half_j():
+    system, nu = random_instance(1, 36, random.Random(114))
+    return build_J_higher(system, *build_gamma_table(system, nu))
+
+
 class TestExactKernel:
     """The multimodular exact determinant against Bareiss elimination (``==``)."""
 
@@ -235,6 +241,21 @@ class TestExactKernel:
         got = determinant(SquareMatrix(rows))
         assert got == det_by_bareiss(rows)
         return got
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """Lists each eliminated block of primes as (its (n, n, B) residues, its signs after)."""
+        seen = []
+        eliminate = linalg._eliminate
+
+        def spy(a, spare, p, pinv, pivots, sign):
+            n = len(pivots)
+            residues = a[:n * pivots.size].reshape(n, n, -1).copy()
+            eliminate(a, spare, p, pinv, pivots, sign)
+            seen.append((residues, sign.copy()))
+
+        monkeypatch.setattr(linalg, "_eliminate", spy)
+        return seen
 
     def test_seeded_rational_matrices(self):
         rng = random.Random(110)
@@ -265,12 +286,13 @@ class TestExactKernel:
         self.check(rows)
         self.check([[p, 1], [1, 1]])
 
-    def test_residues_at_the_edge_of_the_symmetric_range(self):
+    def test_residues_at_the_edge_of_the_symmetric_range(self, monkeypatch):
         # every entry is within 2 of +-(p - 1)/2 modulo each prime of the first
         # block, so the first update piv * a - c * d reaches 2 (p/2)^2, about 2^51
         rng = random.Random(117)
         primes = linalg._PRIMES[:linalg._BLOCK].tolist()
         modulus = math.prod(primes)
+        blocks = self.record_blocks(monkeypatch)
 
         def entry():
             x = 0
@@ -278,11 +300,19 @@ class TestExactKernel:
                 r = rng.choice((-1, 1)) * ((q - 1) // 2 - rng.randint(0, 2))
                 rest = modulus // q
                 x += r * rest * pow(rest, -1, q)
-            return x % modulus - modulus // 2
+            x %= modulus  # the nearest integer to 0 with these residues
+            return x - modulus if 2 * x > modulus else x
 
+        reached = np.zeros(len(primes))
         for n in (2, 5, 8):
             for _ in range(2):
+                blocks.clear()
                 self.check([[entry() for _ in range(n)] for _ in range(n)])
+                r = blocks[0][0]  # the first block's residues, as the kernel holds them
+                first = np.abs(r[0, 0] * r[1:, 1:] - r[1:, :1] * r[:1, 1:])
+                reached = np.maximum(reached, first.reshape(-1, len(primes)).max(axis=0))
+        p = np.array(primes, dtype=np.float64)
+        assert (reached >= 2 * ((p - 1) / 2 - 2) ** 2).all()
 
     def test_singular_matrices(self):
         rng = random.Random(113)
@@ -297,9 +327,64 @@ class TestExactKernel:
             assert determinant(limit) == 0 == det_by_bareiss(limit.entries)
 
     def test_wide_spin_half_matrix(self):
-        system, nu = random_instance(1, 36, random.Random(114))
-        j = build_J_higher(system, *build_gamma_table(system, nu))
+        j = wide_spin_half_j()
         assert determinant(j) == det_by_bareiss(j.entries)
+
+    def test_working_set_of_a_wide_determinant(self):
+        # the kernel's share of the peak RSS of the det-wide benchmark, which has a
+        # 5% bound: its arrays (limbs, powers, the residues and one spare) fit in 2 MB
+        j = wide_spin_half_j()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            determinant(j)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+    def test_pivot_vanishing_in_one_lane_of_the_second_block(self, monkeypatch):
+        # the leading 2 x 2 minor is q, the prime of lane 3 of the second block: the
+        # pivot of step 1 vanishes modulo q only, and only that lane swaps rows
+        rng = random.Random(119)
+        q = int(linalg._PRIMES[linalg._BLOCK + 3])
+        blocks = self.record_blocks(monkeypatch)
+        for _ in range(2):
+            rows = [[rng.getrandbits(300) - (1 << 299) for _ in range(6)] for _ in range(6)]
+            rows[0][0] = 1
+            rows[1][1] = rows[0][1] * rows[1][0] + q
+            blocks.clear()
+            self.check(rows)
+            assert len(blocks) == 2
+            assert all(blocks[0][1] == 1)
+            assert np.flatnonzero(blocks[1][1] == -1).tolist() == [3]
+
+    def test_prime_counts_that_leave_a_partial_last_block(self, monkeypatch):
+        rng = random.Random(120)
+        widths = set()
+        blocks = self.record_blocks(monkeypatch)
+        for bits in (40, 200, 230, 260, 420, 450, 650):
+            rows = [[rng.getrandbits(bits) - (1 << bits - 1) for _ in range(6)] for _ in range(6)]
+            blocks.clear()
+            self.check(rows)
+            *full, last = [len(sign) for _, sign in blocks]
+            assert full == [linalg._BLOCK] * len(full) and 0 < last <= linalg._BLOCK
+            widths.add((len(full), last == linalg._BLOCK))
+        assert {(0, False), (1, False), (2, False)} <= widths
+
+    def test_one_and_two_rows(self):
+        rng = random.Random(121)
+        for bits in (1, 26, 700, 3000):  # one block of primes, then several
+            for n in (1, 2):
+                self.check([[rng.getrandbits(bits) - (1 << bits - 1) for _ in range(n)]
+                            for _ in range(n)])
+                self.check([[Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1)
+                             for _ in range(n)] for _ in range(n)])
+        q = int(linalg._PRIMES[linalg._BLOCK + 1])
+        for rows in ([[0]], [[-7]], [[q]], [[0, 0], [0, 0]], [[0, 1], [1, 0]], [[q, 1], [1, 1]],
+                     [[q << 2000, 1], [3, 5 << 2000]], [[2, 4], [3, 6]]):
+            self.check(rows)
 
     def test_primes_continue_past_the_import_time_window(self):
         # bounds beyond the ~190k bits of the window sieved at import draw
@@ -310,12 +395,22 @@ class TestExactKernel:
         span = range(drawn[-1], drawn[0] + 1)
         assert drawn == [x for x in reversed(span) if x % 2 and all(x % d for d in range(3, 46341, 2))]
 
-    def test_power_tables_of_several_groups_of_primes(self):
-        # a 6 x 6 matrix takes its limb powers 32 primes at a time; its 300-bit
-        # entries need about 70 primes, so three tables, each read at two offsets
+    def test_power_tables_of_several_groups_of_primes(self, monkeypatch):
+        # a 10 x 10 matrix tables its limb powers for as many whole blocks as its
+        # 100 entries outnumber; 600-bit entries need several such tables
         rng = random.Random(118)
+        tables = []
+        limb_powers = linalg._limb_powers
+
+        def spy(width, p):
+            tables.append(len(p))
+            return limb_powers(width, p)
+
+        monkeypatch.setattr(linalg, "_limb_powers", spy)
         for _ in range(3):
-            self.check([[rng.getrandbits(300) - (1 << 299) for _ in range(6)] for _ in range(6)])
+            tables.clear()
+            self.check([[rng.getrandbits(600) - (1 << 599) for _ in range(10)] for _ in range(10)])
+            assert len(tables) >= 3 and tables[0] >= 2 * linalg._BLOCK
 
     def test_reduction_of_values_longer_than_one_limb_chunk(self):
         # all-ones limbs make each chunk's sum as large as it gets: a chunk four
@@ -327,7 +422,8 @@ class TestExactKernel:
         limbs, signs = linalg._limbs(values)
         assert limbs.shape[1] > 4 * linalg._LIMB_CHUNK
         p = np.array(primes, dtype=np.float64)
-        got = linalg._reduce(limbs, signs, linalg._limb_powers(limbs.shape[1], p), p, 1 / p)
+        got, scratch = np.empty((2, len(values), len(p)))
+        linalg._reduce(limbs, signs, linalg._limb_powers(limbs.shape[1], p), p, 1 / p, got, scratch)
         assert got.dtype == np.float64
         for col, q in zip(got.T.tolist(), primes):
             assert [int(r) % q for r in col] == [x % q for x in values]
@@ -341,7 +437,8 @@ class TestExactKernel:
         assert (limbs[:, :width] == 0xFFFF).all()
         p = np.array(primes[:8], dtype=np.float64)
         powers = np.tile(p - 1, (limbs.shape[1], 1))
-        got = linalg._reduce(limbs, signs, powers, p, 1 / p)
+        got, scratch = np.empty((2, len(values), len(p)))
+        linalg._reduce(limbs, signs, powers, p, 1 / p, got, scratch)
         assert got.dtype == np.float64
         for col, q in zip(got.T.tolist(), primes):
             assert [int(r) % q for r in col] == [-width * 0xFFFF % q, width * 0xFFFF % q]
