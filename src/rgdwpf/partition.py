@@ -16,8 +16,8 @@ routes:
   with, at the large spin, e_0..e_two_s of y_i = 1/(eps_1 - nu_i)
   (e_1 = L(eps_1); ``gamma``: one product truncated at t^two_s).
   ``build_J_higher`` takes these values from any source; polynomial in N
-  (the structure coefficients still enumerate multisets, so the cost
-  grows exponentially in two_s).
+  (c11 still enumerates multisets, so the cost grows exponentially in
+  two_s; each other row-1 coefficient column costs O(two_s) from it).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
 rationals.  Every builder reads a float as its exact dyadic value, so a
@@ -93,10 +93,16 @@ class StructureCoefficients:
     """Rapidity-independent coefficients of the N x N determinant matrix.
 
     ``c11[n]`` multiplies (-1)^n e_n, e_n the n-th elementary symmetric
-    polynomial of 1/(eps_1 - nu_i), in the (1,1) entry; ``c1j[j][n]`` (spin
-    index j = 2..N) multiplies it in the (1,j) entry and carries the sign
-    prefactor 1/(eps_j - eps_1), i.e. it is the negative of the bare
-    multiset sum, matching the convention of the worked spin-3/2 listing.
+    polynomial of 1/(eps_1 - nu_i), in the (1,1) entry; it is the multiset
+    sum h_{two_s-n}(x), the complete homogeneous symmetric polynomial of
+    x_k = 1/(eps_1 - eps_k), k >= 2.  ``c1j[j][n]`` (spin index j = 2..N)
+    multiplies it in the (1,j) entry and carries the sign prefactor
+    1/(eps_j - eps_1), i.e. it is the negative of the bare multiset sum,
+    matching the convention of the worked spin-3/2 listing.  The sum over
+    the multisets without x_j is h(x) with the factor 1/(1 - x_j t) divided
+    out (Macdonald, Symmetric Functions and Hall Polynomials, I.2), so
+    ``c1j[j][n]`` = b_{two_s-n} with b_0 = 0 and
+    b_r = (h_{r-1}(x) - b_{r-1})/(eps_j - eps_1): O(two_s) per column.
     ``c0_diag[i]`` is the constant part of row i's diagonal and ``c1_diag``
     (always 1) multiplies its -L(eps_i); ``c0_off[(i, j)]`` =
     1/(eps_j - eps_i).
@@ -163,18 +169,11 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
     )
 
     c1j = {}
-    for j in range(2, n + 1):
-        ej = eps[j - 1]
-        ground_j = ground[:j - 2] + ground[j - 1:]
-        col = []
-        for k in range(two_s):
-            acc = 0
-            for p in range(k, two_s):
-                weight = (two_s - p) / (e1 - ej) ** (two_s - p)
-                for ms in multisets_with_repetition(ground_j, p - k):
-                    acc += weight * _inv_prod(e1, ms)
-            col.append(-acc)
-        c1j[j] = tuple(col)
+    for j, y in enumerate(_inverse_gaps(ground, e1), start=2):
+        b = [0]
+        for h in c11[:0:-1]:  # h_0(x), ..., h_{two_s-1}(x)
+            b.append(y * (h - b[-1]))
+        c1j[j] = tuple(b[:0:-1])
 
     c0_diag = {}
     c0_off = {}

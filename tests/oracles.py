@@ -14,7 +14,9 @@ The residue probe samples
 the determinant.
 The assembly of the determinant matrix is summed term by term, one
 ``Fraction`` operation per inverse gap and per term, as the reference for
-the package's common-denominator sums.
+the package's common-denominator sums.  The structure coefficients are
+enumerated multiset by multiset, column by column, and the complete
+homogeneous polynomials come from products of truncated geometric series.
 """
 
 import random
@@ -340,6 +342,19 @@ def _inv_prod(eps1, multiset):
     return term
 
 
+def complete_homogeneous(xs, r_max):
+    """(h_0(xs), ..., h_r_max(xs)) as the coefficients of prod_x 1/(1 - x t) truncated at t^r_max.
+
+    Each factor is the geometric series 1 + x t + x^2 t^2 + ...; no multiset
+    is enumerated.
+    """
+    series = [Fraction(1)] + [Fraction(0)] * r_max
+    for x in xs:
+        geometric = [x ** i for i in range(r_max + 1)]
+        series = [sum(series[i] * geometric[r - i] for i in range(r + 1)) for r in range(r_max + 1)]
+    return tuple(series)
+
+
 def structure_coefficients_by_fraction_sums(system):
     eps = system.epsilons
     two_s = system.two_s
@@ -417,6 +432,9 @@ def j_higher_by_fraction_sums(system, nu):
 
 #: (2S, N) shapes on which the assembly is checked against the sums above.
 ASSEMBLY_GRID = ((1, 2), (1, 7), (1, 12), (2, 3), (2, 12), (3, 5), (3, 12), (6, 4), (6, 7))
+
+#: Shapes at which row 1's coefficient recurrence runs many steps, plus 2S = 0.
+HIGH_SPIN_GRID = ((0, 2), (6, 6), (9, 3), (10, 6), (12, 4), (20, 3))
 
 
 def identical(got, want) -> bool:

@@ -35,8 +35,10 @@ from rgdwpf.partition import (
 
 from oracles import (
     ASSEMBLY_GRID,
+    HIGH_SPIN_GRID,
     assembly_instances,
     assert_reads_floats_exactly,
+    complete_homogeneous,
     gamma_table_by_fraction_sums,
     identical,
     j_higher_by_fraction_sums,
@@ -546,7 +548,9 @@ class TestAssemblyAgainstTermByTermSums:
     Float inputs are read as their Fractions and complex ones are refused.
     """
 
-    @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
+    GRID = ASSEMBLY_GRID + HIGH_SPIN_GRID + ((1, 36),)
+
+    @pytest.mark.parametrize("two_s, n", GRID)
     def test_structure_coefficients(self, two_s, n):
         def package(eps, _):
             return structure_coefficients(SpinSystem(two_s, eps))
@@ -558,7 +562,7 @@ class TestAssemblyAgainstTermByTermSums:
         assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
         assert_reads_floats_exactly(instances, package, oracle)
 
-    @pytest.mark.parametrize("two_s, n", ASSEMBLY_GRID + ((1, 36),))
+    @pytest.mark.parametrize("two_s, n", GRID)
     def test_higher_spin_matrix(self, two_s, n):
         def package(eps, nu):
             system = SpinSystem(two_s, eps)
@@ -570,6 +574,33 @@ class TestAssemblyAgainstTermByTermSums:
         instances = assembly_instances(two_s, n, "higher")
         assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
         assert_reads_floats_exactly(instances, package, oracle)
+
+    @pytest.mark.parametrize("two_s, n", GRID)
+    def test_c11_is_complete_homogeneous(self, two_s, n):
+        # c11[k] = h_{2S-k}(x), x_k = 1/(eps_1 - eps_k): the identity that lets
+        # c11 come from a truncated series product instead of multisets
+        for mode, (eps, _) in assembly_instances(two_s, n, "coefficients").items():
+            if mode == "complex":
+                continue
+            eps = tuple(map(Fraction, eps))
+            h = complete_homogeneous([1 / (eps[0] - e) for e in eps[1:]], two_s)
+            assert structure_coefficients(SpinSystem(two_s, eps)).c11 == h[::-1]
+
+    @pytest.mark.parametrize("two_s, n", [(1, 2), (3, 5), (6, 6), (12, 4), (1, 36)])
+    def test_only_c11_enumerates_multisets(self, monkeypatch, two_s, n):
+        # C(N - 1 + 2S, 2S) tuples: the multisets of sizes 0..2S over N - 1
+        # spins 1/2, each walked once; enumerating again per column exceeds it
+        walked = []
+
+        def counting(items, m):
+            for ms in multisets_with_repetition(items, m):
+                walked.append(ms)
+                yield ms
+
+        monkeypatch.setattr(partition, "multisets_with_repetition", counting)
+        eps, _ = assembly_instances(two_s, n, "coefficients")["exact"]
+        structure_coefficients(SpinSystem(two_s, eps))
+        assert len(walked) == math.comb(n - 1 + two_s, two_s)
 
     @pytest.mark.parametrize("extra", [0, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 36])
