@@ -9,15 +9,13 @@ approach each other or a level.  The eigenvalue-based variables
 turn the same spectral problem into N coupled *quadratic* equations that
 stay real and regular even where rapidities collide into complex
 conjugate pairs, which is what makes them the preferred numerical route.
-Both formulations are built from one pair-interaction matrix 1/(x_i - x_j)
-(over the levels, or over the rapidities) and share one predictor-corrector
-driver that continues a solution in the coupling g from the weak-coupling
-limit: each step starts Newton from the tangent dx/dg of the last solution.
-The quadratic route runs in X = g L, whose g = 0 solution X = 2 * occupation
-is exact, and accepts a point only with the state's pair count
-g sum_i L_i / 2 = M; the rapidity route starts from a Newton solve at a
-small coupling g0.  A solution of one route must match the other after
-conversion.
+Both are built from one pair-interaction matrix 1/(x_i - x_j).  Only the
+quadratic route is continued in the coupling g, in X = g L from its exact
+g = 0 value 2 * occupation, and each point keeps the pair count
+g sum_i L_i / 2 = M.  The rapidities are the roots of the polynomial Q
+with Q'(eps_i) = L_i Q(eps_i) on the occupied levels (El Araby, Gritsev
+and Faribault, Phys. Rev. B 85, 115130 (2012)), polished by one Newton
+solve of the rapidity equations.
 
 The dual description (lowering operators on the fully polarized state)
 shifts every eigenvalue-based variable by -2/g; the dual rapidities solve
@@ -30,15 +28,11 @@ import numpy as np
 
 from .errors import CardinalityMismatch, DegenerateEpsilons, NoConvergence, PoleAtEvaluationPoint
 
-#: Newton stops below this max |residual|.  Each route's result reaches it, or on the
-#: rapidity route a backward error below it (see :func:`solve_richardson`).
+#: Newton stops below this max |residual|.  Each route's result reaches it, or a
+#: backward error in the coupling below it.
 RESIDUAL_TOL = 1e-12
 #: Failed continuation steps halve the increment at most this many times.
 MAX_STEP_HALVINGS = 40
-#: The starting coupling satisfies |g0| <= this fraction of the smallest level gap.
-START_GAP_FRACTION = 0.05
-#: Geometric substeps per doubling of the coupling.
-SUBSTEPS_PER_DOUBLING = 4
 
 
 @dataclass(frozen=True)
@@ -63,13 +57,6 @@ class CouplingModel:
     @property
     def n(self) -> int:
         return len(self.eps)
-
-    @property
-    def min_gap(self) -> float:
-        if self.n < 2:
-            return float("inf")
-        e = sorted(self.eps)
-        return min(b - a for a, b in zip(e, e[1:]))
 
 
 @dataclass(frozen=True)
@@ -158,7 +145,7 @@ def quad_jacobian(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton(residual, jacobian, x0):
-    """Damped Newton from ``x0``; returns the last iterate and its max |residual|.
+    """Damped Newton from ``x0``; returns the last iterate and its residual vector.
 
     A trial point on a pole of the equations gives an infinite or NaN
     residual, which never compares below the best one, so it is rejected
@@ -188,73 +175,41 @@ def _newton(residual, jacobian, x0):
             step *= 0.5
         else:
             break
-    return x, float(best)
+    return x, r
 
 
-def _solve_by_continuation(g, start, equations, accepts, extra_seeds=None):
-    """Follow a solution in the coupling from ``start = (g0, x0)`` to ``g``.
+def _solve_by_continuation(g, x0, equations, accepts):
+    """Follow a solution linearly in the coupling from its exact value ``x0`` at 0 to ``g``.
 
-    ``equations(c)`` gives three functions of the variables x at coupling
-    c: the residual F, its Jacobian and dF/dg.  At g0 = 0, x0 must be the
-    exact solution and the path to g is linear in the coupling, first in
-    steps of a quarter of the way; otherwise Newton first solves at g0
-    from the seed x0 and the path is geometric, with
-    :data:`SUBSTEPS_PER_DOUBLING` substeps per doubling.  Each step
-    starts Newton from the tangent predictor x + (g_next - g_x) dx/dg,
-    dx/dg = -J^-1 dF/dg at the last accepted point (Allgower and Georg,
-    *Introduction to Numerical Continuation Methods*, ch. 2), then from
-    ``extra_seeds(x)``.  A Newton solve counts only if
-    ``accepts(c, x, residual)``: a residual bound, and on the quadratic
-    route also the pair count of :func:`solve_quadratic_bethe`.  A failed
-    step halves the path increment, at most :data:`MAX_STEP_HALVINGS`
-    times in total, and an accepted one doubles it back up to its first
-    size.  A failure raises :class:`NoConvergence` with the coupling
-    reached, the last Newton residual and the halvings spent.
+    ``equations(c)`` gives the residual F, its Jacobian and dF/dg as
+    functions of x at coupling c (at c = 0 only the last two).  Each step,
+    at first a quarter of the way, starts Newton from the tangent predictor
+    x + (g_next - g_x) dx/dg, dx/dg = -J^-1 dF/dg (Allgower and Georg,
+    *Introduction to Numerical Continuation Methods*, ch. 2), and counts
+    only if ``accepts(c, x, residual_vector)``.  A failed step halves the
+    increment, at most :data:`MAX_STEP_HALVINGS` times in total; an
+    accepted one doubles it back up.  A failure raises
+    :class:`NoConvergence` with the coupling reached, the last Newton
+    max |residual| and the halvings spent.
     """
-    def newton_at(c, x):
-        residual, jacobian, _ = equations(c)
-        x, res = _newton(residual, jacobian, x)
-        return x, res, accepts(c, x, res)
-
-    g0, x = start
-    if g0 != 0:
-        x, res, accepted = newton_at(g0, x)
-        if not accepted:
-            raise NoConvergence(f"weak-coupling solve failed at g = {g0:.6g}",
-                                g_reached=g0, residual=res)
-    if g0 == g:
-        return x
-
-    def coupling(u):  # the path, ending exactly at g
-        if u == 1.0:
-            return g
-        return g * u if g0 == 0 else g0 * (g / g0) ** u
-
-    if g0 == 0:
-        du0 = 0.25
-    else:
-        du0 = 1.0 / max(1, round(np.log2(abs(g / g0)) * SUBSTEPS_PER_DOUBLING))
-    u, du, halvings, g_x, slope = 0.0, du0, 0, g0, None
+    u, du, halvings, x, g_x, slope = 0.0, 0.25, 0, x0, 0.0, None
     while u < 1.0:
         if slope is None:
             _, jacobian, d_dg = equations(g_x)
             slope = _tangent(jacobian, d_dg, x)
         u_next = min(u + du, 1.0)
-        g_next = coupling(u_next)
-        seeds = [x + (g_next - g_x) * slope] + (extra_seeds(x) if extra_seeds else [])
-        for seed in seeds:
-            xn, res, accepted = newton_at(g_next, seed)
-            if accepted:
-                break
-        if accepted:
+        g_next = g if u_next == 1.0 else g * u_next
+        residual, jacobian, _ = equations(g_next)
+        xn, r = _newton(residual, jacobian, x + (g_next - g_x) * slope)
+        if accepts(g_next, xn, r):
             u, x, g_x, slope = u_next, xn, g_next, None
-            du = min(du * 2, du0)
+            du = min(du * 2, 0.25)
         else:
             du /= 2
             halvings += 1
             if halvings > MAX_STEP_HALVINGS:
-                raise NoConvergence(f"continuation stalled at g = {g_x:.6g}",
-                                    g_reached=g_x, residual=res, halvings=halvings)
+                raise NoConvergence(f"continuation stalled at g = {g_x:.6g}", g_reached=g_x,
+                                    residual=float(np.max(np.abs(r))), halvings=halvings)
     return x
 
 
@@ -282,9 +237,12 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     count round(g sum_i L_i / 2) = M: summing the rapidity equations gives
     sum_i L_i = 2M/g for every M-pair state, so a jump to another branch
     changes the count by at least one.  The result has max |residual|
-    below 1e-12.  The points on the way need only max |F| below 1e-12
-    where that is looser (|g| < 1): near g = 0, L ~ 2/g puts the rounding
-    error of the residual of L above 1e-12.
+    below 1e-12; the points on the way need only max |F| below 1e-12 where
+    that is looser (|g| < 1), as L ~ 2/g near g = 0 puts the rounding error
+    of the residual of L above 1e-12.  Where Newton stalls above that, as
+    when levels nearly coincide, a point is accepted at a backward error
+    below 1e-12: equation i holds exactly at 2/g_i = 2/g + r_i/L_i, r_i its
+    residual, and every |g_i - g| must be below 1e-12 |g|.
     """
     occupation = tuple(int(b) for b in occupation)
     if len(occupation) != model.n or any(b not in (0, 1) for b in occupation):
@@ -311,51 +269,53 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
                 lambda x: quad_jacobian(LambdaVars(tuple(x / g)), at_g) / g,
                 lambda x: pair_flow(x) / g ** 2)
 
-    def accepts(g, x, res):
+    @np.errstate(divide="ignore", invalid="ignore")
+    def accepts(g, x, r):
         tol = RESIDUAL_TOL * (1.0 if g == model.g else max(1.0, g ** -2))
-        return res < tol and round(x.sum() / 2) == model.m
+        holds = (np.max(np.abs(r)) < tol  # else the backward error, with L = x / g
+                 or np.max(np.abs(2 / (2 / g + r * g / x) - g)) < RESIDUAL_TOL * abs(g))
+        return holds and round(x.sum() / 2) == model.m
 
     x = _solve_by_continuation(
-        model.g, (0.0, 2 * np.asarray(occupation, dtype=float)), equations, accepts)
+        model.g, 2 * np.asarray(occupation, dtype=float), equations, accepts)
     return LambdaVars(values=tuple(float(v) for v in x / model.g))
 
 
-def _pair_rotations(lams):
-    # Reseed the closest rapidity pairs as vertical complex pairs about
-    # their midpoint: past a pair collision the true roots are conjugate
-    # pairs, which a real-line seed can never reach.
-    m = len(lams)
-    seeds = []
-    if m < 2:
-        return seeds
-    dists = sorted(
-        (abs(lams[i] - lams[j]), i, j) for i in range(m) for j in range(i + 1, m))
-    for _, i, j in dists[:3]:
-        centre = (lams[i] + lams[j]) / 2
-        half = max(abs(lams[i] - lams[j]) / 2, 1e-3)
-        out = np.array(lams, dtype=complex)
-        out[i] = centre + 1j * half
-        out[j] = centre - 1j * half
-        seeds.append(out)
-    return seeds
+def _rapidities_from_lambdas(nodes, lambdas):
+    """Roots of Q with Q'(e) = L Q(e) at the M ``nodes`` (see :func:`solve_richardson`)."""
+    system = _inverse_gaps(nodes)
+    np.fill_diagonal(system, system.sum(axis=1) - lambdas)
+    r = np.linalg.solve(system, -np.ones(len(nodes)))
+    return np.linalg.eigvals(np.diag(nodes) - r[:, None])
 
 
 def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
-    """Solve the rapidity equations by continuation from the weak-coupling limit.
+    """Solve the rapidity equations for the state whose pairs fill these levels at g = 0.
 
-    ``initial_levels`` are M distinct 0-based level indices.  At weak
-    coupling each rapidity sits just below its level, lam_k = eps_{i_k} - g0/2;
-    a tiny imaginary jitter lets pairs leave the real axis where the branch
-    requires it.  The continuation's tangent uses dF/dg = -2/g^2.
+    ``initial_levels`` are M distinct 0-based level indices, the set S.
+    The rapidities are read off the quadratic route's L for the same
+    state.  Every monic Q of degree M is
 
-    A Newton solve is accepted at max |residual| below 1e-12 or at a
-    backward error below 1e-12 (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 1): equation i holds exactly at the coupling
-    g_i = 2 / (2/g - residual_i), a relative change of about
-    |g residual_i| / 2.  Near g0 the terms are of size 2/g0, and at half
-    filling from N = 12 on the absolute residual stalls near 1.4e-12.  A
-    backward error in the levels or rapidities too would accept the
-    singular points lam = eps_k +- delta, whose O(1/delta) terms cancel.
+        Q(z) = prod_k (z - lam_k) = P(z) (1 + sum_{j in S} r_j / (z - eps_j)),
+
+    P(z) = prod_{j in S} (z - eps_j).  Since L_i = Q'(eps_i) / Q(eps_i),
+    and with P_i(z) = P(z) / (z - eps_i), Q(eps_i) = r_i P_i(eps_i) and
+    Q'(eps_i) = P_i(eps_i) (1 + sum_{j != i} (r_j + r_i) / (eps_i - eps_j))
+    at i in S, the M conditions are linear: (K_S - diag L_S) r = -1, K_S
+    the matrix 1/(eps_i - eps_j) on S with its row sums on the diagonal.
+    This is the transpose of ``partition.build_J_higher`` at 2S = 1 on the
+    subsystem S at L_S, so it is invertible exactly when the state overlaps
+    the product state filling S.  By the matrix determinant lemma
+    diag(eps_S) - r 1^T has characteristic polynomial Q, so its
+    eigenvalues are the rapidities.
+
+    One Newton solve at g polishes them, sorted by real part.  It is
+    accepted at max |residual| below 1e-12 or at a backward error below
+    1e-12 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 1):
+    equation i holds exactly at g_i = 2 / (2/g - residual_i).  A backward
+    error in the levels or rapidities would also accept the singular points
+    lam = eps_k +- delta, whose O(1/delta) terms cancel.  A singular system
+    or a failed polish raises :class:`NoConvergence` at ``g_reached`` = g.
     """
     levels = tuple(initial_levels)
     if len(set(levels)) != len(levels) or len(levels) != model.m:
@@ -365,20 +325,20 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     if model.m == 0:
         return RapidityState(lambdas=())
 
+    lv = solve_quadratic_bethe(model, [int(i in levels) for i in range(model.n)])
     eps = np.asarray(model.eps)
-    g0 = model.g
-    while abs(g0) > START_GAP_FRACTION * model.min_gap:
-        g0 /= 2
-    jitter = 1j * 1e-6 * np.array([(k + 1) * (-1) ** k for k in range(model.m)])
-    x = _solve_by_continuation(
-        model.g,
-        (g0, np.array([model.eps[i] - g0 / 2 for i in levels], dtype=complex) + jitter),
-        lambda g: (lambda lam: _richardson_residuals_arr(lam, g, eps),
-                   lambda lam: _richardson_jacobian(lam, g, eps),
-                   lambda lam: np.full(len(lam), -2 / g ** 2)),
-        lambda g, lam, res: res < RESIDUAL_TOL * max(1.0, 2 / abs(g)),
-        extra_seeds=lambda lam: [lam + jitter] + _pair_rotations(lam))
-    return RapidityState(lambdas=tuple(complex(v) for v in x))
+    try:
+        start = _rapidities_from_lambdas(eps[list(levels)], np.asarray(lv.values)[list(levels)])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"no rapidities from L at g = {model.g:.6g}: {exc}",
+                            g_reached=model.g) from exc
+    x, r = _newton(lambda lam: _richardson_residuals_arr(lam, model.g, eps),
+                   lambda lam: _richardson_jacobian(lam, model.g, eps), start.astype(complex))
+    res = float(np.max(np.abs(r)))
+    if not res < RESIDUAL_TOL * max(1.0, 2 / abs(model.g)):
+        raise NoConvergence(f"rapidity polish stalled at g = {model.g:.6g}",
+                            g_reached=model.g, residual=res)
+    return RapidityState(lambdas=tuple(complex(v) for v in np.sort(x)))
 
 
 def dual_transform(lv: LambdaVars, model: CouplingModel) -> LambdaVars:

@@ -17,6 +17,8 @@ The assembly of the determinant matrix is summed term by term, one
 the package's common-denominator sums.  The structure coefficients are
 enumerated multiset by multiset, column by column, and the complete
 homogeneous polynomials come from products of truncated geometric series.
+The Bethe states are checked against exact diagonalization of the pairing
+Hamiltonian, followed in the coupling from its g = 0 product state.
 """
 
 import random
@@ -24,6 +26,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, lcm
 
+import numpy as np
 import pytest
 
 from rgdwpf.errors import ComplexInput
@@ -478,3 +481,39 @@ def assembly_instances(two_s, n, tag):
     return {"exact": (eps, nu), "float": (f_eps, f_nu),
             "complex": (tuple(complex(x, imag()) for x in f_eps),
                         tuple(complex(x, imag()) for x in f_nu))}
+
+
+def adiabatic_energy(g, eps, occupation, steps=2000):
+    """Energy of the eigenstate of H(g) continued from the g = 0 product state, by exact diagonalization.
+
+    H = sum_k eps_k n_k - (g/2) sum_{k,l} S+_k S-_l (k = l included) acts
+    on the C(N, M) states with M pairs.  At g = 0 the product state that
+    fills ``occupation`` is an eigenstate; the coupling then grows
+    linearly in ``steps`` steps, and each step keeps the eigenvector of
+    largest overlap with the last one.
+
+    The Bethe state with rapidities lam_k has energy E = sum_k lam_k.
+    Multiplying the rapidity equation of lam_i by lam_i and summing over i,
+    sum_{i != j} 2 lam_i / (lam_i - lam_j) = M (M - 1) (pair the terms
+    (i, j) and (j, i)) and lam_i / (eps_k - lam_i) = eps_k / (eps_k - lam_i) - 1
+    give (2/g) E - M (M - 1) - sum_k eps_k L_k + N M = 0, that is
+    E = (g/2) (sum_k eps_k L_k - N M + M (M - 1)), the energy of the
+    quadratic route's L.
+    """
+    n, m = len(eps), sum(occupation)
+    basis = list(combinations(range(n), m))
+    index = {state: i for i, state in enumerate(basis)}
+    levels = np.diag([float(sum(eps[k] for k in state)) for state in basis])
+    pairing = np.zeros_like(levels)
+    for i, state in enumerate(basis):
+        for l in state:  # S+_k S-_l moves the pair on level l to level k
+            for k in range(n):
+                if k == l or k not in state:
+                    pairing[index[tuple(sorted(set(state) - {l} | {k}))], i] += 1
+    vector = np.zeros(len(basis))
+    vector[index[tuple(k for k, b in enumerate(occupation) if b)]] = 1.0
+    for step in range(1, steps + 1):
+        values, vectors = np.linalg.eigh(levels - (g * step / steps / 2) * pairing)
+        k = int(np.argmax(np.abs(vectors.T @ vector)))
+        vector = vectors[:, k]
+    return float(values[k])

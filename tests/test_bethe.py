@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,16 +18,25 @@ from rgdwpf.bethe import (
     solve_richardson,
 )
 from rgdwpf.errors import CardinalityMismatch, DegenerateEpsilons, NoConvergence
+from rgdwpf.partition import SpinSystem, build_J_higher
+
+from oracles import adiabatic_energy
 
 
 def evenly_spaced(n):
     return tuple(float(i) for i in range(n))
 
 
+def energy_from_lambdas(model, lv):
+    """E = (g/2) (sum_k eps_k L_k - N M + M (M - 1)); see ``oracles.adiabatic_energy``."""
+    n, m = model.n, model.m
+    return model.g / 2 * (sum(e * v for e, v in zip(model.eps, lv.values)) - n * m + m * (m - 1))
+
+
 class TestModel:
     def test_zero_coupling_rejected(self):
-        # a non-finite g would otherwise reach the solvers, whose start
-        # coupling is g halved until it is small: inf never gets there
+        # a non-finite g would otherwise reach the continuation, whose path
+        # g * u never ends at a finite coupling
         for g in (0.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 CouplingModel(g=g, eps=(0.0, 1.0), m=1)
@@ -200,6 +210,19 @@ class TestSolveQuadratic:
         solve_quadratic_bethe(model, (1,) * 12 + (0,) * 12)
         assert 0 < len(calls) <= 30
 
+    def test_nearly_coincident_levels_converge_by_backward_error(self):
+        # levels 0.011 apart put the absolute residual's rounding floor above
+        # 1e-12: Newton stalls near 1.7e-12, and the continuation once raised
+        # NoConvergence there; every equation holds at a coupling within 1e-12 of g
+        model = CouplingModel(g=-0.5, eps=(1.8397, 2.7827, 3.6167, 2.7937), m=3)
+        lv = solve_quadratic_bethe(model, (1, 1, 1, 0))
+        assert round(model.g * sum(lv.values) / 2) == 3
+        r, vals = quad_residuals(lv, model), np.array(lv.values)
+        coupling = 2 / (2 / model.g + r / vals)
+        assert np.max(np.abs(coupling - model.g)) < 1e-12 * abs(model.g)
+        exact = adiabatic_energy(model.g, model.eps, (1, 1, 1, 0))
+        assert abs(energy_from_lambdas(model, lv) - exact) < 1e-9
+
     def test_stalled_continuation_reports_coupling(self, monkeypatch):
         # no Newton solve is accepted, so the halvings run out at the g = 0 start
         monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
@@ -234,8 +257,8 @@ class TestSolveRichardson:
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_half_filling_converges_by_backward_error(self, n):
-        # at g0 = g / 16 the weak-coupling Newton stalls near 1.4e-12 absolute at
-        # N = 16 (terms of size 2/g0); its backward error in the coupling is below 1e-12
+        # no weak-coupling start, whose terms of size 2/g0 put the absolute
+        # residual's rounding floor near 1.4e-12 at N = 16: the polish runs at g
         model = CouplingModel(g=0.5, eps=evenly_spaced(n), m=n // 2)
         state = solve_richardson(model, tuple(range(n // 2)))
         assert max(abs(r) for r in richardson_residuals(state, model)) < 1e-12
@@ -244,15 +267,15 @@ class TestSolveRichardson:
         assert abs(sum(induced.values) - n / model.g) < 1e-9
 
     def test_residual_budget_at_half_filling(self, monkeypatch):
-        # each step starts Newton from the tangent predictor: about 1,700
-        # evaluations, against 33,051 when it started from the last solution
+        # one Newton polish from the roots read off L: a handful of evaluations,
+        # against about 1,700 for a continuation of the rapidities themselves
         calls = []
         residuals = bethe._richardson_residuals_arr
         monkeypatch.setattr(bethe, "_richardson_residuals_arr",
                             lambda *args: calls.append(1) or residuals(*args))
         model = CouplingModel(g=0.5, eps=evenly_spaced(16), m=8)
         solve_richardson(model, tuple(range(8)))
-        assert len(calls) <= 5000
+        assert len(calls) <= 50
 
     def test_distinct_levels_required(self):
         model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=2)
@@ -260,17 +283,57 @@ class TestSolveRichardson:
             solve_richardson(model, (0, 0))
 
     def test_stalled_continuation_reports_coupling(self, monkeypatch):
-        # without the complex reseeding the pair collision cannot be
-        # traversed from the real axis, so the step halvings run out
-        monkeypatch.setattr(bethe, "_pair_rotations", lambda lams: [])
+        # the rapidities come from the quadratic route, whose stall at the
+        # g = 0 start reaches the caller with the halvings it spent
+        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
         model = CouplingModel(g=1.0, eps=evenly_spaced(4), m=2)
         with pytest.raises(NoConvergence) as err:
             solve_richardson(model, (0, 1))
-        assert err.value.g_reached is not None
-        assert 0 < abs(err.value.g_reached) < 1.0
+        assert err.value.g_reached == 0.0
         assert err.value.halvings == 13
         assert not err.value.residual < bethe.RESIDUAL_TOL
+
+    def test_failed_polish_reports_the_coupling(self, monkeypatch):
+        # no Newton step lowers a constant residual, so the polish fails at g itself
+        monkeypatch.setattr(bethe, "_richardson_residuals_arr",
+                            lambda lams, g, eps: np.ones(len(lams)))
+        model = CouplingModel(g=1.0, eps=evenly_spaced(4), m=2)
+        with pytest.raises(NoConvergence) as err:
+            solve_richardson(model, (0, 1))
+        assert err.value.g_reached == 1.0
+        assert err.value.halvings == 0
+        assert err.value.residual == 1.0
+
+    def test_singular_system_reports_the_coupling(self, monkeypatch):
+        # L = 0 on a lone occupied level makes the 1 x 1 system K_S - diag L_S zero
+        monkeypatch.setattr(bethe, "solve_quadratic_bethe",
+                            lambda model, occupation: LambdaVars((0.0,) * model.n))
+        model = CouplingModel(g=0.5, eps=(0.0, 1.0), m=1)
+        with pytest.raises(NoConvergence) as err:
+            solve_richardson(model, (0,))
+        assert err.value.g_reached == 0.5
+        assert err.value.residual is None
+
+    def test_roots_read_off_known_rapidities(self):
+        # L from two real rapidities and a conjugate pair gives them back
+        eps = np.array([0.0, 0.7, 1.5, 2.2, 3.0, 4.1])
+        lams = np.array([0.3, 1.1 + 0.4j, 1.1 - 0.4j, 3.6])
+        lv = lambdas_from_rapidities(RapidityState(tuple(lams)), tuple(eps))
+        nodes = [0, 2, 3, 5]
+        got = bethe._rapidities_from_lambdas(eps[nodes], np.real(lv.values)[nodes])
+        assert np.max(np.abs(np.poly(got) - np.poly(lams))) < 1e-12
+
+    def test_linear_system_is_the_transposed_determinant_matrix(self):
+        # K_S - diag L_S, K_S the inverse gaps with their row sums on the
+        # diagonal, is build_J_higher at 2S = 1 on the levels S, transposed
+        rng = np.random.default_rng(21)
+        nodes = tuple(rng.uniform(0, 5, size=5))
+        lambdas = tuple(rng.normal(size=5))
+        system = bethe._inverse_gaps(np.array(nodes))
+        np.fill_diagonal(system, system.sum(axis=1) - lambdas)
+        j = build_J_higher(SpinSystem(1, nodes), (1, lambdas[0]), lambdas[1:])
+        assert np.max(np.abs(np.array(j.entries, dtype=float) - system.T)) < 1e-12
 
 
 class TestDualTransform:
@@ -295,3 +358,38 @@ class TestDualTransform:
         mu = solve_richardson(dual_model, (1, 2))
         induced = lambdas_from_rapidities(mu, model.eps)
         assert max(abs(a - b) for a, b in zip(dual.values, induced.values)) < 1e-9
+
+
+class TestAdiabaticState:
+    """Both routes against exact diagonalization followed from the g = 0 product state."""
+
+    @staticmethod
+    def assert_on_adiabatic_state(g, eps, occupation):
+        exact = adiabatic_energy(g, eps, occupation)
+        model = CouplingModel(g=g, eps=eps, m=sum(occupation))
+        lv = solve_quadratic_bethe(model, occupation)
+        assert abs(energy_from_lambdas(model, lv) - exact) < 1e-9 * max(1, abs(exact))
+        state = solve_richardson(model, [i for i, b in enumerate(occupation) if b])
+        assert abs(sum(state.lambdas) - exact) < 1e-9 * max(1, abs(exact))
+        return exact
+
+    @pytest.mark.parametrize("g, eps, occupation, energy", [
+        (-0.5, (0.5719, 3.5313, 3.8702, 0.8784), (0, 1, 1, 0), 8.000842),
+        (1.7, (2.7787, 3.1046, 0.9263, 0.7533), (0, 0, 1, 1), -1.767363),
+        (1.0, (3.5468, 0.4984, 3.3926, 0.0841), (1, 0, 1, 0), 6.174815),
+        (-1.7, (2.0167, 0.3447, 0.9279, 0.5531), (0, 1, 0, 1), 1.529458),
+    ])
+    def test_states_a_rapidity_continuation_missed(self, g, eps, occupation, energy):
+        # continuing the rapidities themselves from a weak-coupling Newton start
+        # reached another eigenstate here: E = 5.493249, 2.070399, 2.725686, 1.759684
+        assert abs(self.assert_on_adiabatic_state(g, eps, occupation) - energy) < 1e-6
+
+    def test_seeded_models(self):
+        rng = random.Random(8)
+        for _ in range(6):
+            n = rng.choice((5, 6, 8))
+            g = rng.choice((0.5, 1.0, 1.7)) * rng.choice((1, -1))
+            eps = tuple(rng.uniform(0, n) for _ in range(n))
+            occupation = tuple(rng.randint(0, 1) for _ in range(n))
+            self.assert_on_adiabatic_state(g, eps, occupation if any(occupation)
+                                           else (1,) + occupation[1:])

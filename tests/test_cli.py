@@ -372,8 +372,8 @@ class TestBethe:
         assert len(doc["dual_shift"]) == 4
 
     def test_richardson_at_half_filling(self, capsys):
-        # the absolute residual stalls near 1.4e-12 at the weak-coupling start;
-        # the rapidity route accepts it by backward error, and reports it absolute
+        # the rapidity route accepts a backward error in g, and reports the
+        # residual absolute
         code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", ",".join(map(str, range(16))),
                                       "--occupation", "1111111100000000",
                                       "--route", "richardson"])
@@ -400,15 +400,16 @@ class TestBethe:
     def test_stall_reports_the_state_reached(self, capsys, monkeypatch):
         import rgdwpf.bethe as bethe
 
-        # as in test_bethe: no complex reseeding, so the pair collision stalls
-        monkeypatch.setattr(bethe, "_pair_rotations", lambda lams: [])
+        # as in test_bethe: the quadratic route the rapidities come from stalls
+        # at its g = 0 start
+        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
         code, doc = run_json(capsys, ["bethe", "--g", "1", "--eps", "0,1,2,3",
                                       "--occupation", "1100", "--route", "richardson"])
         assert code == 3
         err = doc["error"]
         assert err["kind"] == "NoConvergence"
-        assert 0 < err["g_reached"] < 1.0
+        assert err["g_reached"] == 0.0
         assert err["halvings"] == 13
         assert not err["residual"] < bethe.RESIDUAL_TOL
 
@@ -425,37 +426,41 @@ class TestBethe:
     def test_stalled_route_reports_in_its_own_entry(self, capsys, monkeypatch):
         import rgdwpf.bethe as bethe
 
-        monkeypatch.setattr(bethe, "_pair_rotations", lambda lams: [])
+        # a stalled quadratic route stalls the rapidity route too: each
+        # writes the state it reached in its own entry
+        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
         code, doc = run_json(capsys, ["bethe", "--g", "1", "--eps", "0,1,2,3",
+                                      "--occupation", "1100", "--route", "both"])
+        assert code == 3
+        assert "error" not in doc
+        for route in ("quad", "richardson"):
+            err = doc[route]["error"]
+            assert err["kind"] == "NoConvergence"
+            assert set(err) == {"kind", "detail", "g_reached", "residual", "halvings"}
+            assert err["g_reached"] == 0.0
+            assert err["halvings"] == 13
+            assert not err["residual"] < 1
+        assert "dual_shift" not in doc
+
+    def test_failed_polish_reports_next_to_the_quad_entry(self, capsys, monkeypatch):
+        import rgdwpf.bethe as bethe
+
+        monkeypatch.setattr(bethe, "_richardson_residuals_arr",
+                            lambda lams, g, eps: np.ones(len(lams)))
+        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1,2,3",
                                       "--occupation", "1100", "--route", "both"])
         assert code == 3
         assert "error" not in doc
         err = doc["richardson"]["error"]
         assert err["kind"] == "NoConvergence"
         assert set(err) == {"kind", "detail", "g_reached", "residual", "halvings"}
-        assert 0 < err["g_reached"] < 1.0
-        assert err["halvings"] == 13
+        assert err["g_reached"] == 0.5
+        assert err["halvings"] == 0
+        assert err["residual"] == 1.0
         assert doc["quad"]["max_residual"] < 1e-12
         assert round(doc["quad"]["pairs"]) == 2
         assert len(doc["dual_shift"]) == 4
-
-    def test_stalled_quad_route_keeps_the_rapidity_entry(self, capsys, monkeypatch):
-        import rgdwpf.bethe as bethe
-
-        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
-        monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 3)
-        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1,2,3",
-                                      "--occupation", "1100", "--route", "both"])
-        assert code == 3
-        err = doc["quad"]["error"]
-        assert err["kind"] == "NoConvergence"
-        assert err["g_reached"] == 0.0
-        assert err["halvings"] == 4
-        assert not err["residual"] < 1
-        assert "dual_shift" not in doc
-        assert doc["richardson"]["max_residual"] < 1e-12
-        assert "lambda_agreement" not in doc["richardson"]
 
     def test_non_finite_coupling_is_usage_error(self, capsys):
         for g in ("nan", "inf", "-inf"):
