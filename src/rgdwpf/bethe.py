@@ -10,8 +10,9 @@ turn the same spectral problem into N coupled *quadratic* equations that
 stay real and regular even where rapidities collide into complex
 conjugate pairs, which is what makes them the preferred numerical route.
 Both are built from one pair-interaction matrix 1/(x_i - x_j).  Only the
-quadratic route is continued in the coupling g, in X = g L from its exact
-g = 0 value 2 * occupation, and each point keeps the pair count
+quadratic route is continued in the coupling g, by the predictor-corrector
+loop in :func:`solve_quadratic_bethe`, in X = g L from its exact g = 0
+value 2 * occupation, and each point keeps the pair count
 g sum_i L_i / 2 = M.  The rapidities are the roots of the polynomial Q
 with Q'(eps_i) = L_i Q(eps_i) on the occupied levels (El Araby, Gritsev
 and Faribault, Phys. Rev. B 85, 115130 (2012)), polished by one Newton
@@ -22,11 +23,13 @@ shifts every eigenvalue-based variable by -2/g; the dual rapidities solve
 the rapidity equations with N - M unknowns at coupling -g.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CardinalityMismatch, DegenerateEpsilons, NoConvergence, PoleAtEvaluationPoint
+from .errors import (CardinalityMismatch, ComplexInput, DegenerateEpsilons, NoConvergence,
+                     NonFiniteEntry, PoleAtEvaluationPoint)
 
 #: Newton stops below this max |residual|.  Each route's result reaches it, or a
 #: backward error in the coupling below it.
@@ -44,11 +47,15 @@ class CouplingModel:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
         if self.g == 0:
             raise ValueError("coupling g must be nonzero")
         if not np.isfinite(self.g):
             raise ValueError(f"coupling g must be finite, got {self.g}")
+        if any(isinstance(v, (complex, np.complexfloating)) for v in (self.g, *self.eps)):
+            raise ComplexInput(f"g and the levels must be real, got {self.g!r}, {self.eps!r}")
+        object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
+        if not all(map(math.isfinite, self.eps)):
+            raise NonFiniteEntry(f"levels must be finite, got {self.eps!r}")
         if len(set(self.eps)) != len(self.eps):
             raise DegenerateEpsilons("levels must be pairwise distinct")
         if not 0 <= self.m <= self.n:
@@ -178,50 +185,6 @@ def _newton(residual, jacobian, x0):
     return x, r
 
 
-def _solve_by_continuation(g, x0, equations, accepts):
-    """Follow a solution linearly in the coupling from its exact value ``x0`` at 0 to ``g``.
-
-    ``equations(c)`` gives the residual F, its Jacobian and dF/dg as
-    functions of x at coupling c (at c = 0 only the last two).  Each step,
-    at first a quarter of the way, starts Newton from the tangent predictor
-    x + (g_next - g_x) dx/dg, dx/dg = -J^-1 dF/dg (Allgower and Georg,
-    *Introduction to Numerical Continuation Methods*, ch. 2), and counts
-    only if ``accepts(c, x, residual_vector)``.  A failed step halves the
-    increment, at most :data:`MAX_STEP_HALVINGS` times in total; an
-    accepted one doubles it back up.  A failure raises
-    :class:`NoConvergence` with the coupling reached, the last Newton
-    max |residual| and the halvings spent.
-    """
-    u, du, halvings, x, g_x, slope = 0.0, 0.25, 0, x0, 0.0, None
-    while u < 1.0:
-        if slope is None:
-            _, jacobian, d_dg = equations(g_x)
-            slope = _tangent(jacobian, d_dg, x)
-        u_next = min(u + du, 1.0)
-        g_next = g if u_next == 1.0 else g * u_next
-        residual, jacobian, _ = equations(g_next)
-        xn, r = _newton(residual, jacobian, x + (g_next - g_x) * slope)
-        if accepts(g_next, xn, r):
-            u, x, g_x, slope = u_next, xn, g_next, None
-            du = min(du * 2, 0.25)
-        else:
-            du /= 2
-            halvings += 1
-            if halvings > MAX_STEP_HALVINGS:
-                raise NoConvergence(f"continuation stalled at g = {g_x:.6g}", g_reached=g_x,
-                                    residual=float(np.max(np.abs(r))), halvings=halvings)
-    return x
-
-
-def _tangent(jacobian, d_dg, x):
-    """dx/dg = -J^-1 dF/dg at a solution x; zero where J is singular."""
-    try:
-        slope = np.linalg.solve(jacobian(x), -d_dg(x))
-    except np.linalg.LinAlgError:
-        return np.zeros_like(x)
-    return slope if np.all(np.isfinite(slope)) else np.zeros_like(x)
-
-
 def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     """Solve the quadratic equations for the state with these N weak-coupling occupations.
 
@@ -232,17 +195,26 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
 
     At g = 0 the solution is exactly X = 2 * occupation, with Jacobian
     diag(+-2), so the continuation starts there with no Newton solve and
-    moves linearly in g.  Newton works on F / g^2, which is
-    :func:`quad_residuals` at L = X / g.  Every accepted point has the pair
-    count round(g sum_i L_i / 2) = M: summing the rapidity equations gives
-    sum_i L_i = 2M/g for every M-pair state, so a jump to another branch
-    changes the count by at least one.  The result has max |residual|
-    below 1e-12; the points on the way need only max |F| below 1e-12 where
-    that is looser (|g| < 1), as L ~ 2/g near g = 0 puts the rounding error
-    of the residual of L above 1e-12.  Where Newton stalls above that, as
-    when levels nearly coincide, a point is accepted at a backward error
-    below 1e-12: equation i holds exactly at 2/g_i = 2/g + r_i/L_i, r_i its
-    residual, and every |g_i - g| must be below 1e-12 |g|.
+    moves linearly in g.  Each step, at first a quarter of the way, starts
+    Newton on F / g^2, which is :func:`quad_residuals` at L = X / g, from
+    the tangent predictor X + (g_next - g_X) dX/dg, dX/dg = -J^-1 dF/dg at
+    the last accepted point (Allgower and Georg, *Introduction to Numerical
+    Continuation Methods*, ch. 2).  A failed step halves the increment, at
+    most :data:`MAX_STEP_HALVINGS` times in total; an accepted one doubles
+    it back up to a quarter.  A failure raises :class:`NoConvergence` with
+    the coupling reached, the last Newton max |residual| and the halvings
+    spent.
+
+    Every accepted point has the pair count round(g sum_i L_i / 2) = M:
+    summing the rapidity equations gives sum_i L_i = 2M/g for every M-pair
+    state, so a jump to another branch changes the count by at least one.
+    The result has max |residual| below 1e-12; the points on the way need
+    only max |F| below 1e-12 where that is looser (|g| < 1), as L ~ 2/g
+    near g = 0 puts the rounding error of the residual of L above 1e-12.
+    Where Newton stalls above that, as when levels nearly coincide, a point
+    is accepted at a backward error below 1e-12: equation i holds exactly
+    at 2/g_i = 2/g + r_i/L_i, r_i its residual, and every |g_i - g| must be
+    below 1e-12 |g|.
     """
     occupation = tuple(int(b) for b in occupation)
     if len(occupation) != model.n or any(b not in (0, 1) for b in occupation):
@@ -258,26 +230,43 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     def pair_flow(x):  # dF/dg = -sum_{j != i} (X_i - X_j)/(eps_i - eps_j)
         return inv @ x - inv.sum(axis=1) * x
 
-    # F / g^2 for g != 0 (the tangent is the same for any scale of F);
-    # quad_residuals and quad_jacobian are looked up as module globals on
-    # every evaluation, so a wrapped one sees each Newton iteration
-    def equations(g):
-        if g == 0:
-            return None, lambda x: np.diag(2 * x - 2), pair_flow
+    # quad_residuals, quad_jacobian and MAX_STEP_HALVINGS are looked up as
+    # module globals on every use, so a wrapped one sees each Newton iteration
+    x, g_x, at_x, slope = 2 * np.asarray(occupation, dtype=float), 0.0, None, None
+    u, du, halvings = 0.0, 0.25, 0
+    while u < 1.0:
+        if slope is None:  # the tangent at X; zero where J is singular
+            if g_x == 0:
+                jac, flow = np.diag(2 * x - 2), pair_flow(x)
+            else:  # of F / g^2: the tangent is the same for any scale of F
+                jac = quad_jacobian(LambdaVars(tuple(x / g_x)), at_x) / g_x
+                flow = pair_flow(x) / g_x ** 2
+            try:
+                slope = np.linalg.solve(jac, -flow)
+            except np.linalg.LinAlgError:
+                slope = np.zeros_like(x)
+            if not np.all(np.isfinite(slope)):
+                slope = np.zeros_like(x)
+        u_next = min(u + du, 1.0)
+        g = model.g if u_next == 1.0 else model.g * u_next
         at_g = replace(model, g=g)
-        return (lambda x: quad_residuals(LambdaVars(tuple(x / g)), at_g),
-                lambda x: quad_jacobian(LambdaVars(tuple(x / g)), at_g) / g,
-                lambda x: pair_flow(x) / g ** 2)
-
-    @np.errstate(divide="ignore", invalid="ignore")
-    def accepts(g, x, r):
-        tol = RESIDUAL_TOL * (1.0 if g == model.g else max(1.0, g ** -2))
-        holds = (np.max(np.abs(r)) < tol  # else the backward error, with L = x / g
-                 or np.max(np.abs(2 / (2 / g + r * g / x) - g)) < RESIDUAL_TOL * abs(g))
-        return holds and round(x.sum() / 2) == model.m
-
-    x = _solve_by_continuation(
-        model.g, 2 * np.asarray(occupation, dtype=float), equations, accepts)
+        xn, r = _newton(lambda y: quad_residuals(LambdaVars(tuple(y / g)), at_g),
+                        lambda y: quad_jacobian(LambdaVars(tuple(y / g)), at_g) / g,
+                        x + (g - g_x) * slope)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tol = RESIDUAL_TOL * (1.0 if g == model.g else max(1.0, g ** -2))
+            holds = (np.max(np.abs(r)) < tol  # else the backward error, with L = X / g
+                     or np.max(np.abs(2 / (2 / g + r * g / xn) - g)) < RESIDUAL_TOL * abs(g))
+            holds = holds and round(xn.sum() / 2) == model.m
+        if holds:
+            u, x, g_x, at_x, slope = u_next, xn, g, at_g, None
+            du = min(du * 2, 0.25)
+        else:
+            du /= 2
+            halvings += 1
+            if halvings > MAX_STEP_HALVINGS:
+                raise NoConvergence(f"continuation stalled at g = {g_x:.6g}", g_reached=g_x,
+                                    residual=float(np.max(np.abs(r))), halvings=halvings)
     return LambdaVars(values=tuple(float(v) for v in x / model.g))
 
 

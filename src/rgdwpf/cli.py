@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 check failure, 3 numerical failure.
 import argparse
 import cmath
 import json
-import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -79,7 +78,7 @@ def _checked(convert, accept, requirement: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, _UsageError):
             value = None
         if value is None or not accept(value):
             raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
@@ -89,8 +88,8 @@ def _checked(convert, accept, requirement: str):
 
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
-_COUPLING = _checked(float, lambda g: g != 0 and math.isfinite(g),
-                     "must be a finite nonzero number")
+_COUPLING = _checked(_parse_f64, lambda g: not isinstance(g, complex) and g != 0,
+                     "must be a finite nonzero real number")
 
 
 def _parse_occupation(text: str) -> tuple:

@@ -34,7 +34,9 @@ class NoConvergence(RGError):
 
     ``g_reached`` is the coupling reached before giving up, ``residual``
     the max |residual| of the last Newton solve and ``halvings`` the
-    number of continuation step halvings spent.
+    number of continuation step halvings spent.  A failed rapidity polish
+    reports ``g_reached`` = g and 0 halvings; a singular M x M system for
+    the rapidities reports ``residual`` None.
     """
 
     def __init__(self, message: str, g_reached: float | None = None,

@@ -17,7 +17,14 @@ from rgdwpf.bethe import (
     solve_quadratic_bethe,
     solve_richardson,
 )
-from rgdwpf.errors import CardinalityMismatch, DegenerateEpsilons, NoConvergence
+from rgdwpf.errors import (
+    CardinalityMismatch,
+    ComplexInput,
+    DegenerateEpsilons,
+    NoConvergence,
+    NonFiniteEntry,
+    PoleAtEvaluationPoint,
+)
 from rgdwpf.partition import SpinSystem, build_J_higher
 
 from oracles import adiabatic_energy
@@ -48,6 +55,20 @@ class TestModel:
     def test_excitation_bounds(self):
         with pytest.raises(CardinalityMismatch):
             CouplingModel(g=1.0, eps=(0.0, 1.0), m=3)
+
+    def test_non_finite_levels_refused(self):
+        # an infinite level once gave L = (3.5616, 0.0, 0.4384) with a
+        # RuntimeWarning, and a NaN one a stall at g = 0
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteEntry):
+                CouplingModel(g=1.0, eps=(0.0, bad, 2.0), m=1)
+
+    def test_complex_values_refused(self):
+        for eps in ((0.0, 1j, 2.0), (0.0, np.complex128(1.0), 2.0), (0.0, np.complex64(1.0))):
+            with pytest.raises(ComplexInput):
+                CouplingModel(g=1.0, eps=eps, m=1)
+        with pytest.raises(ComplexInput):
+            CouplingModel(g=0.5 + 0.5j, eps=(0.0, 1.0), m=1)
 
 
 class TestRichardsonResiduals:
@@ -86,6 +107,16 @@ class TestRichardsonResiduals:
             fd = (bethe._richardson_residuals_arr(point + bump, 0.8, eps)
                   - bethe._richardson_residuals_arr(point - bump, 0.8, eps)) / (2 * h)
             assert np.max(np.abs(jac[:, k] - fd) / np.maximum(np.abs(jac[:, k]), 1e-12)) < 1e-5
+
+    def test_rapidity_on_a_level_is_a_pole(self):
+        model = CouplingModel(g=1.0, eps=(0.0, 1.0, 2.0), m=2)
+        with pytest.raises(PoleAtEvaluationPoint):
+            richardson_residuals(RapidityState(lambdas=(0.5, 1.0)), model)
+
+    def test_coincident_rapidities_are_singular(self):
+        model = CouplingModel(g=1.0, eps=(0.0, 1.0, 2.0), m=2)
+        with pytest.raises(PoleAtEvaluationPoint):
+            richardson_residuals(RapidityState(lambdas=(0.5, 0.5)), model)
 
     def test_solver_state_is_self_consistent(self):
         model = CouplingModel(g=0.7, eps=evenly_spaced(5), m=2)
@@ -140,6 +171,10 @@ class TestLambdasFromRapidities:
         lv = lambdas_from_rapidities(RapidityState(lambdas=(2.0,)), (0.0, 1.0))
         assert lv.values == (-0.5, -1.0)
 
+    def test_rapidity_on_a_level_is_a_pole(self):
+        with pytest.raises(PoleAtEvaluationPoint):
+            lambdas_from_rapidities(RapidityState(lambdas=(0.5, 1.0)), (0.0, 1.0))
+
     def test_termwise_oracle(self):
         lams = (1.5, -0.25 + 0.5j, -0.25 - 0.5j)
         eps = (0.0, 1.0, 3.0)
@@ -173,8 +208,9 @@ class TestSolveQuadratic:
 
     def test_occupation_must_match_model(self):
         model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=1)
-        with pytest.raises(CardinalityMismatch):
-            solve_quadratic_bethe(model, (1, 1, 0))
+        for occupation in ((1, 1, 0), (2, -1, 0)):  # two excitations; not bits
+            with pytest.raises(CardinalityMismatch):
+                solve_quadratic_bethe(model, occupation)
 
     def test_residuals_below_tolerance(self):
         model = CouplingModel(g=1.0, eps=evenly_spaced(4), m=2)
@@ -235,6 +271,20 @@ class TestSolveQuadratic:
         assert not err.value.residual < 1
 
 
+    def test_stall_partway_reports_the_coupling_reached(self, monkeypatch):
+        # Newton succeeds up to |g| = 0.5 and never beyond: the steps from
+        # g = 0.5 halve 41 times, and the last solve keeps the constant residual
+        residuals = bethe.quad_residuals
+        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: (
+            residuals(lv, model) if abs(model.g) <= 0.5 else np.ones(model.n)))
+        model = CouplingModel(g=1.0, eps=evenly_spaced(6), m=3)
+        with pytest.raises(NoConvergence) as err:
+            solve_quadratic_bethe(model, (1, 1, 1, 0, 0, 0))
+        assert err.value.g_reached == 0.5
+        assert err.value.halvings == bethe.MAX_STEP_HALVINGS + 1 == 41
+        assert err.value.residual == 1.0
+
+
 class TestSolveRichardson:
     def test_single_rapidity_linear_case(self):
         model = CouplingModel(g=0.3, eps=(1.0,), m=1)
@@ -281,6 +331,16 @@ class TestSolveRichardson:
         model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=2)
         with pytest.raises(CardinalityMismatch):
             solve_richardson(model, (0, 0))
+
+    def test_level_index_out_of_range(self):
+        model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=1)
+        for levels in ((3,), (-1,)):
+            with pytest.raises(CardinalityMismatch):
+                solve_richardson(model, levels)
+
+    def test_no_pairs_no_rapidities(self):
+        model = CouplingModel(g=1.0, eps=evenly_spaced(3), m=0)
+        assert solve_richardson(model, ()).lambdas == ()
 
     def test_stalled_continuation_reports_coupling(self, monkeypatch):
         # the rapidities come from the quadratic route, whose stall at the

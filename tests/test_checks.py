@@ -63,6 +63,12 @@ class TestResidueEps1:
         report = check_residue_eps1(system, prefix)
         assert report.holds
 
+    def test_prefix_length_checked(self):
+        system, prefix = prefix_instance(2, 2, 63)
+        for wrong in (prefix[:-1], prefix + (Fraction(101, 7),)):
+            with pytest.raises(CardinalityMismatch):
+                check_residue_eps1(system, wrong)
+
     def test_requires_positive_spin(self):
         system = SpinSystem(two_s=0, epsilons=(Fraction(0), Fraction(1)))
         with pytest.raises(CardinalityMismatch):
@@ -83,6 +89,12 @@ class TestResidueEpsj:
     def test_spin_one_three_spins_middle(self):
         system, prefix = prefix_instance(2, 3, 66)
         assert check_residue_epsj(system, prefix, 2).holds
+
+    def test_spin_index_checked(self):
+        system, prefix = prefix_instance(1, 3, 68)
+        for j in (0, 1, 4):
+            with pytest.raises(CardinalityMismatch):
+                check_residue_epsj(system, prefix, j)
 
     def test_unsupported_removal_rejected(self):
         system, prefix = prefix_instance(2, 2, 67)

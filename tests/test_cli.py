@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,19 @@ class TestPf:
         assert doc["schema"] == "rg-dwpf/1"
         assert doc["equal"] is True
         assert as_fraction(doc["permanent"]) == as_fraction(doc["determinant"])
+
+    def test_disagreeing_methods_exit_code(self, capsys, monkeypatch):
+        from rgdwpf import partition
+
+        z_determinant = partition.z_determinant
+        monkeypatch.setattr(partition, "z_determinant", lambda system, nu: replace(
+            z_determinant(system, nu), value=Fraction(1, 3)))
+        code, doc = run_json(capsys, ["pf", "--two-s", "2", "--eps", "0,1",
+                                      "--nu", "2,3,5", "--method", "both"])
+        assert code == 2
+        assert doc["equal"] is False
+        assert as_fraction(doc["permanent"]) == Fraction(19, 60)
+        assert as_fraction(doc["determinant"]) == Fraction(1, 3)
 
     def test_det_method_value(self, capsys):
         code, doc = run_json(capsys, ["pf", "--two-s", "2", "--eps", "0,1",
@@ -386,6 +400,20 @@ class TestBethe:
         assert code == 0
         assert "richardson" not in doc
 
+    def test_occupation_must_be_bits(self, capsys):
+        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1",
+                                      "--occupation", "12"])
+        assert code == 1
+        assert doc["error"]["kind"] == "usage"
+
+    def test_rational_coupling(self, capsys):
+        # --g reads numbers as --eps does; "g" is written as the float
+        argv = ["--eps", "0,1/3,1", "--occupation", "100", "--route", "quad"]
+        code, doc = run_json(capsys, ["bethe", "--g", "1/2"] + argv)
+        assert code == 0
+        assert doc["g"] == 0.5
+        assert doc == run_json(capsys, ["bethe", "--g", "0.5"] + argv)[1]
+
     def test_occupation_length_checked(self, capsys):
         code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1",
                                       "--occupation", "1"])
@@ -463,10 +491,10 @@ class TestBethe:
         assert len(doc["dual_shift"]) == 4
 
     def test_non_finite_coupling_is_usage_error(self, capsys):
-        for g in ("nan", "inf", "-inf"):
+        for g in ("nan", "inf", "-inf", "1+2j", "1/0", "0/3", "abc"):
             code, doc = run_json(capsys, ["bethe", "--g", g, "--eps", "0,1",
                                           "--occupation", "10"])
-            assert code == 1
+            assert code == 1, g
             assert doc["error"]["kind"] == "usage"
 
 
@@ -476,10 +504,19 @@ def test_non_finite_or_complex_floats_are_usage_errors(capsys):
                  ["pf", "--two-s", "1", "--eps", "0,1", "--nu", "2,nan+1j", "--mode", "f64"],
                  ["gamma", "--nu", "2,3", "--z", "nan", "--order", "2", "--mode", "f64"],
                  ["bethe", "--g", "0.5", "--eps", "0,1+1j", "--occupation", "10"],
-                 ["bethe", "--g", "0.5", "--eps", "0,nan", "--occupation", "10"]):
+                 ["bethe", "--g", "0.5", "--eps", "0,nan", "--occupation", "10"],
+                 ["pf", "--two-s", "1", "--eps", "0,1", "--nu", "2,abc", "--mode", "f64"]):
         code, doc = run_json(capsys, argv)
         assert code == 1, argv
         assert doc["error"]["kind"] == "usage"
+
+
+def test_empty_number_list_is_usage_error(capsys):
+    for eps in (",", " , ,"):
+        code, doc = run_json(capsys, ["pf", "--two-s", "1", "--eps", eps, "--nu", "2,3"])
+        assert code == 1
+        assert doc["error"]["kind"] == "usage"
+        assert "empty number list" in doc["error"]["detail"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -132,6 +132,13 @@ class TestPermanent:
             permanent(SquareMatrix([[huge, huge], [huge, huge]]))
 
 
+class TestDyadic:
+    def test_non_finite_refused(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteEntry):
+                linalg.dyadic(x)
+
+
 class TestDeterminant:
     def test_2x2(self):
         assert determinant(SquareMatrix([[1, 2], [3, 4]])) == -2
@@ -235,6 +242,13 @@ def wide_spin_half_j():
 
 class TestExactKernel:
     """The multimodular exact determinant against Bareiss elimination (``==``)."""
+
+    def test_guard_once_the_primes_run_out(self, monkeypatch):
+        # two primes cover the small determinant's bound but not the large one's
+        monkeypatch.setattr(linalg, "_primes", lambda: iter(linalg._PRIMES[:2].tolist()))
+        assert determinant(SquareMatrix([[1, 2], [3, 4]])) == -2
+        with pytest.raises(CostGuard):
+            determinant(SquareMatrix([[10 ** 20, 1], [1, 10 ** 20]]))
 
     @staticmethod
     def check(rows):

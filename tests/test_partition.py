@@ -63,6 +63,15 @@ class TestSpinSystem:
         with pytest.raises(DegenerateEpsilons):
             SpinSystem(two_s=1, epsilons=(0, 0))
 
+    def test_no_spin_rejected(self):
+        with pytest.raises(CardinalityMismatch):
+            SpinSystem(two_s=1, epsilons=())
+
+    def test_no_excitation_rejected(self):
+        # a lone spin 0 has Omega = 0
+        with pytest.raises(CardinalityMismatch):
+            SpinSystem(two_s=0, epsilons=(0,))
+
     def test_lone_higher_spin_rejected(self):
         with pytest.raises(CardinalityMismatch):
             SpinSystem(two_s=2, epsilons=(0,))
@@ -98,6 +107,12 @@ class TestZPermanent:
     def test_single_excitation(self):
         system = SpinSystem(two_s=1, epsilons=(0,))
         assert z_permanent(system, (5,)).value == Fraction(1, 5)
+
+    def test_rapidity_count_must_be_omega(self):
+        system = SpinSystem(two_s=2, epsilons=(0, 1))
+        for nu in ((2, 3), (2, 3, 5, 7)):
+            with pytest.raises(CardinalityMismatch):
+                z_permanent(system, nu)
 
     def test_three_term_expansion(self):
         # spin 1 plus one spin 1/2: the sum collapses to three terms with
