@@ -10,13 +10,13 @@ turn the same spectral problem into N coupled *quadratic* equations that
 stay real and regular even where rapidities collide into complex
 conjugate pairs, which is what makes them the preferred numerical route.
 Both are built from one pair-interaction matrix 1/(x_i - x_j).  Only the
-quadratic route is continued in the coupling g, by the predictor-corrector
-loop in :func:`solve_quadratic_bethe`, in X = g L from its exact g = 0
-value 2 * occupation, and each point keeps the pair count
-g sum_i L_i / 2 = M.  The rapidities are the roots of the polynomial Q
-with Q'(eps_i) = L_i Q(eps_i) on the occupied levels (El Araby, Gritsev
-and Faribault, Phys. Rev. B 85, 115130 (2012)), polished by one Newton
-solve of the rapidity equations.
+quadratic route is continued in g, by the predictor-corrector loop in
+:func:`solve_quadratic_bethe`, in X = g L from its exact g = 0 value
+2 * occupation, keeping the pair count g sum_i L_i / 2 = M at each point;
+it runs on the private array kernels that :func:`quad_residuals` and
+:func:`quad_jacobian` also call.  The rapidities are the roots of Q with
+Q'(eps_i) = L_i Q(eps_i) on the occupied levels (El Araby, Gritsev and
+Faribault, Phys. Rev. B 85, 115130 (2012)), polished by one Newton solve.
 
 The dual description (lowering operators on the fully polarized state)
 shifts every eigenvalue-based variable by -2/g; the dual rapidities solve
@@ -24,7 +24,7 @@ the rapidity equations with N - M unknowns at coupling -g.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +47,14 @@ class CouplingModel:
     m: int
 
     def __post_init__(self):
-        if self.g == 0:
-            raise ValueError("coupling g must be nonzero")
-        if not np.isfinite(self.g):
-            raise ValueError(f"coupling g must be finite, got {self.g}")
         if any(isinstance(v, (complex, np.complexfloating)) for v in (self.g, *self.eps)):
             raise ComplexInput(f"g and the levels must be real, got {self.g!r}, {self.eps!r}")
+        try:  # read like the levels; an int beyond float range is refused like inf
+            object.__setattr__(self, "g", float(self.g))
+        except OverflowError:
+            raise ValueError("coupling g must be finite, got an int beyond float range") from None
+        if self.g == 0 or not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite and nonzero, got {self.g}")
         object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
         if not all(map(math.isfinite, self.eps)):
             raise NonFiniteEntry(f"levels must be finite, got {self.eps!r}")
@@ -136,17 +138,25 @@ def quad_residuals(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
     residual_i = L_i^2 - sum_{j != i} (L_i - L_j)/(eps_i - eps_j)
                  - (2/g) L_i.
     """
-    vals = _lambda_array(lv, model)
-    cross = (np.subtract.outer(vals, vals) * _inverse_gaps(model.eps)).sum(axis=1)
-    return vals ** 2 - cross - (2 / model.g) * vals
+    return _quad_residuals(_lambda_array(lv, model), model.g, _inverse_gaps(model.eps))
 
 
 def quad_jacobian(lv: LambdaVars, model: CouplingModel) -> np.ndarray:
     """Analytic Jacobian of :func:`quad_residuals` with respect to the variables."""
-    vals = _lambda_array(lv, model)
     inv = _inverse_gaps(model.eps)
+    return _quad_jacobian(_lambda_array(lv, model), model.g, inv, inv.sum(axis=1))
+
+
+def _quad_residuals(vals, g, inv):
+    """:func:`quad_residuals` on an array, with ``inv`` the inverse gaps of the levels."""
+    cross = (np.subtract.outer(vals, vals) * inv).sum(axis=1)
+    return vals ** 2 - cross - (2 / g) * vals
+
+
+def _quad_jacobian(vals, g, inv, inv_rows):
+    """:func:`quad_jacobian` on an array; ``inv_rows`` are the row sums of ``inv``."""
     jac = inv.astype(np.result_type(vals, float))
-    np.fill_diagonal(jac, 2 * vals - 2 / model.g - inv.sum(axis=1))
+    np.fill_diagonal(jac, 2 * vals - 2 / g - inv_rows)
     return jac
 
 
@@ -196,14 +206,14 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     At g = 0 the solution is exactly X = 2 * occupation, with Jacobian
     diag(+-2), so the continuation starts there with no Newton solve and
     moves linearly in g.  Each step, at first a quarter of the way, starts
-    Newton on F / g^2, which is :func:`quad_residuals` at L = X / g, from
-    the tangent predictor X + (g_next - g_X) dX/dg, dX/dg = -J^-1 dF/dg at
-    the last accepted point (Allgower and Georg, *Introduction to Numerical
-    Continuation Methods*, ch. 2).  A failed step halves the increment, at
-    most :data:`MAX_STEP_HALVINGS` times in total; an accepted one doubles
-    it back up to a quarter.  A failure raises :class:`NoConvergence` with
-    the coupling reached, the last Newton max |residual| and the halvings
-    spent.
+    Newton on F / g^2, the kernel of :func:`quad_residuals` at L = X / g on
+    inverse gaps built once per solve, from the tangent predictor
+    X + (g_next - g_X) dX/dg, dX/dg = -J^-1 dF/dg at the last accepted
+    point (Allgower and Georg, *Introduction to Numerical Continuation
+    Methods*, ch. 2).  A failed step halves the increment, at most
+    :data:`MAX_STEP_HALVINGS` times in total; an accepted one doubles it
+    back up to a quarter.  A failure raises :class:`NoConvergence` with the
+    coupling reached, the last Newton max |residual| and the halvings spent.
 
     Every accepted point has the pair count round(g sum_i L_i / 2) = M:
     summing the rapidity equations gives sum_i L_i = 2M/g for every M-pair
@@ -226,20 +236,21 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
         return LambdaVars(values=(0.0,) * model.n)
 
     inv = _inverse_gaps(model.eps)
+    inv_rows = inv.sum(axis=1)
 
     def pair_flow(x):  # dF/dg = -sum_{j != i} (X_i - X_j)/(eps_i - eps_j)
-        return inv @ x - inv.sum(axis=1) * x
+        return inv @ x - inv_rows * x
 
-    # quad_residuals, quad_jacobian and MAX_STEP_HALVINGS are looked up as
-    # module globals on every use, so a wrapped one sees each Newton iteration
-    x, g_x, at_x, slope = 2 * np.asarray(occupation, dtype=float), 0.0, None, None
+    # the kernels and MAX_STEP_HALVINGS are looked up as module globals on every
+    # use, so a wrapped one sees each Newton iteration
+    x, g_x, slope = 2 * np.asarray(occupation, dtype=float), 0.0, None
     u, du, halvings = 0.0, 0.25, 0
     while u < 1.0:
         if slope is None:  # the tangent at X; zero where J is singular
             if g_x == 0:
                 jac, flow = np.diag(2 * x - 2), pair_flow(x)
             else:  # of F / g^2: the tangent is the same for any scale of F
-                jac = quad_jacobian(LambdaVars(tuple(x / g_x)), at_x) / g_x
+                jac = _quad_jacobian(x / g_x, g_x, inv, inv_rows) / g_x
                 flow = pair_flow(x) / g_x ** 2
             try:
                 slope = np.linalg.solve(jac, -flow)
@@ -249,9 +260,8 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
                 slope = np.zeros_like(x)
         u_next = min(u + du, 1.0)
         g = model.g if u_next == 1.0 else model.g * u_next
-        at_g = replace(model, g=g)
-        xn, r = _newton(lambda y: quad_residuals(LambdaVars(tuple(y / g)), at_g),
-                        lambda y: quad_jacobian(LambdaVars(tuple(y / g)), at_g) / g,
+        xn, r = _newton(lambda y: _quad_residuals(y / g, g, inv),
+                        lambda y: _quad_jacobian(y / g, g, inv, inv_rows) / g,
                         x + (g - g_x) * slope)
         with np.errstate(divide="ignore", invalid="ignore"):
             tol = RESIDUAL_TOL * (1.0 if g == model.g else max(1.0, g ** -2))
@@ -259,7 +269,7 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
                      or np.max(np.abs(2 / (2 / g + r * g / xn) - g)) < RESIDUAL_TOL * abs(g))
             holds = holds and round(xn.sum() / 2) == model.m
         if holds:
-            u, x, g_x, at_x, slope = u_next, xn, g, at_g, None
+            u, x, g_x, slope = u_next, xn, g, None
             du = min(du * 2, 0.25)
         else:
             du /= 2

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,9 +45,16 @@ class TestModel:
     def test_zero_coupling_rejected(self):
         # a non-finite g would otherwise reach the continuation, whose path
         # g * u never ends at a finite coupling
-        for g in (0.0, math.inf, -math.inf, math.nan):
+        for g in (0.0, math.inf, -math.inf, math.nan, 10 ** 400, -(10 ** 400)):
             with pytest.raises(ValueError):
                 CouplingModel(g=g, eps=(0.0, 1.0), m=1)
+
+    def test_fraction_coupling_reads_as_its_float(self):
+        # the levels accept Fractions; g once reached np.isfinite, which refuses them
+        exact = CouplingModel(g=Fraction(1, 2), eps=(0.0, 1.0, 2.0), m=1)
+        rounded = CouplingModel(g=0.5, eps=(0.0, 1.0, 2.0), m=1)
+        assert repr(solve_quadratic_bethe(exact, (1, 0, 0))) == repr(
+            solve_quadratic_bethe(rounded, (1, 0, 0)))
 
     def test_degenerate_levels_rejected(self):
         with pytest.raises(DegenerateEpsilons):
@@ -239,12 +247,25 @@ class TestSolveQuadratic:
     def test_jacobian_budget(self, monkeypatch):
         # the exact g = 0 start and the tangent predictor: about 18 Jacobians
         calls = []
-        jacobian = bethe.quad_jacobian
-        monkeypatch.setattr(bethe, "quad_jacobian",
-                            lambda lv, model: calls.append(1) or jacobian(lv, model))
+        jacobian = bethe._quad_jacobian
+        monkeypatch.setattr(bethe, "_quad_jacobian",
+                            lambda *args: calls.append(1) or jacobian(*args))
         model = CouplingModel(g=0.5, eps=evenly_spaced(24), m=12)
         solve_quadratic_bethe(model, (1,) * 12 + (0,) * 12)
         assert 0 < len(calls) <= 30
+
+    def test_no_model_is_built_per_step(self, monkeypatch):
+        # the continuation runs on arrays: no CouplingModel, and so no check of
+        # its N levels, per step or per Newton iterate
+        model = CouplingModel(g=0.5, eps=evenly_spaced(24), m=12)
+        calls = []
+        post_init = CouplingModel.__post_init__
+        monkeypatch.setattr(CouplingModel, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        solve_quadratic_bethe(model, (1,) * 12 + (0,) * 12)
+        assert calls == []
+        CouplingModel(g=0.5, eps=evenly_spaced(24), m=12)
+        assert calls == [1]  # the wrapper does see a construction
 
     def test_nearly_coincident_levels_converge_by_backward_error(self):
         # levels 0.011 apart put the absolute residual's rounding floor above
@@ -261,7 +282,7 @@ class TestSolveQuadratic:
 
     def test_stalled_continuation_reports_coupling(self, monkeypatch):
         # no Newton solve is accepted, so the halvings run out at the g = 0 start
-        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
+        monkeypatch.setattr(bethe, "_quad_residuals", lambda vals, g, inv: np.ones_like(vals))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 5)
         model = CouplingModel(g=0.5, eps=evenly_spaced(4), m=2)
         with pytest.raises(NoConvergence) as err:
@@ -274,9 +295,9 @@ class TestSolveQuadratic:
     def test_stall_partway_reports_the_coupling_reached(self, monkeypatch):
         # Newton succeeds up to |g| = 0.5 and never beyond: the steps from
         # g = 0.5 halve 41 times, and the last solve keeps the constant residual
-        residuals = bethe.quad_residuals
-        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: (
-            residuals(lv, model) if abs(model.g) <= 0.5 else np.ones(model.n)))
+        residuals = bethe._quad_residuals
+        monkeypatch.setattr(bethe, "_quad_residuals", lambda vals, g, inv: (
+            residuals(vals, g, inv) if abs(g) <= 0.5 else np.ones_like(vals)))
         model = CouplingModel(g=1.0, eps=evenly_spaced(6), m=3)
         with pytest.raises(NoConvergence) as err:
             solve_quadratic_bethe(model, (1, 1, 1, 0, 0, 0))
@@ -345,7 +366,7 @@ class TestSolveRichardson:
     def test_stalled_continuation_reports_coupling(self, monkeypatch):
         # the rapidities come from the quadratic route, whose stall at the
         # g = 0 start reaches the caller with the halvings it spent
-        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
+        monkeypatch.setattr(bethe, "_quad_residuals", lambda vals, g, inv: np.ones_like(vals))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
         model = CouplingModel(g=1.0, eps=evenly_spaced(4), m=2)
         with pytest.raises(NoConvergence) as err:

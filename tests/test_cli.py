@@ -430,7 +430,7 @@ class TestBethe:
 
         # as in test_bethe: the quadratic route the rapidities come from stalls
         # at its g = 0 start
-        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
+        monkeypatch.setattr(bethe, "_quad_residuals", lambda vals, g, inv: np.ones_like(vals))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
         code, doc = run_json(capsys, ["bethe", "--g", "1", "--eps", "0,1,2,3",
                                       "--occupation", "1100", "--route", "richardson"])
@@ -456,7 +456,7 @@ class TestBethe:
 
         # a stalled quadratic route stalls the rapidity route too: each
         # writes the state it reached in its own entry
-        monkeypatch.setattr(bethe, "quad_residuals", lambda lv, model: np.ones(model.n))
+        monkeypatch.setattr(bethe, "_quad_residuals", lambda vals, g, inv: np.ones_like(vals))
         monkeypatch.setattr(bethe, "MAX_STEP_HALVINGS", 12)
         code, doc = run_json(capsys, ["bethe", "--g", "1", "--eps", "0,1,2,3",
                                       "--occupation", "1100", "--route", "both"])
