@@ -17,6 +17,8 @@ it runs on the private array kernels that :func:`quad_residuals` and
 :func:`quad_jacobian` also call.  The rapidities are the roots of Q with
 Q'(eps_i) = L_i Q(eps_i) on the occupied levels (El Araby, Gritsev and
 Faribault, Phys. Rev. B 85, 115130 (2012)), polished by one Newton solve.
+Both routes accept a point by one componentwise backward-error rule, which
+is also Newton's stop (:func:`_newton`); the reported residuals stay absolute.
 
 The dual description (lowering operators on the fully polarized state)
 shifts every eigenvalue-based variable by -2/g; the dual rapidities solve
@@ -31,9 +33,6 @@ import numpy as np
 from .errors import (CardinalityMismatch, ComplexInput, DegenerateEpsilons, NoConvergence,
                      NonFiniteEntry, PoleAtEvaluationPoint)
 
-#: Newton stops below this max |residual|.  Each route's result reaches it, or a
-#: backward error in the coupling below it.
-RESIDUAL_TOL = 1e-12
 #: Failed continuation steps halve the increment at most this many times.
 MAX_STEP_HALVINGS = 40
 
@@ -161,18 +160,33 @@ def _quad_jacobian(vals, g, inv, inv_rows):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _newton(residual, jacobian, x0):
-    """Damped Newton from ``x0``; returns the last iterate and its residual vector.
+def _newton(residual, jacobian, x0, scale):
+    """Damped Newton from ``x0``; returns the last iterate, its residual and whether
 
-    A trial point on a pole of the equations gives an infinite or NaN
-    residual, which never compares below the best one, so it is rejected
-    without a warning; a Jacobian that is not finite ends the iteration.
+        |r_i| <= (n + 2) u (s_i + (|J(x)| |x|)_i)   for every i
+
+    holds there, the one stop and acceptance rule of both routes: a componentwise
+    backward error (Oettli and Prager; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 7), n unknowns, u = 2^-53, s_i the sum of the absolute values of
+    the terms of equation i, and ``scale(x)`` s + |J||x| or a bound above it.  To first
+    order in u it holds at the float x nearest a root x*: |x - x*| <= u |x*| moves r_i
+    by at most u (|J||x|)_i, and each term of r_i is rounded at most n + 2 times (a
+    difference, a product or quotient, n - 2 additions and the two subtractions that
+    join the parts; stored inverse level gaps count as data), which moves r_i by at
+    most (n + 2) u s_i (Higham, ch. 3).  The line search takes a trial point that
+    lowers max |r| or passes the rule; one on a pole, with an infinite or NaN residual
+    or bound, does neither and is rejected without a warning.  A non-finite Jacobian
+    ends the iteration.
     """
+    def holds_at(x, r):
+        bound = (len(x) + 2) * 2.0 ** -53 * scale(x)
+        return bool((np.abs(r) <= bound).all() and bound.max() < np.inf)
+
     x = np.array(x0)
     r = residual(x)
-    best = np.max(np.abs(r))
+    best, holds = np.max(np.abs(r)), holds_at(x, r)
     for _ in range(200):
-        if best < RESIDUAL_TOL:
+        if holds:
             break
         jac = jacobian(x)
         if not np.all(np.isfinite(jac)):
@@ -185,14 +199,14 @@ def _newton(residual, jacobian, x0):
         for _ in range(30):
             xn = x + step * dx
             rn = residual(xn)
-            if np.max(np.abs(rn)) < best:
-                x, r = xn, rn
-                best = np.max(np.abs(r))
+            passes, size = holds_at(xn, rn), np.abs(rn).max()
+            if passes or size < best:
+                x, r, holds, best = xn, rn, passes, size
                 break
             step *= 0.5
         else:
             break
-    return x, r
+    return x, r, holds
 
 
 def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
@@ -215,16 +229,14 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
     back up to a quarter.  A failure raises :class:`NoConvergence` with the
     coupling reached, the last Newton max |residual| and the halvings spent.
 
-    Every accepted point has the pair count round(g sum_i L_i / 2) = M:
-    summing the rapidity equations gives sum_i L_i = 2M/g for every M-pair
-    state, so a jump to another branch changes the count by at least one.
-    The result has max |residual| below 1e-12; the points on the way need
-    only max |F| below 1e-12 where that is looser (|g| < 1), as L ~ 2/g
-    near g = 0 puts the rounding error of the residual of L above 1e-12.
-    Where Newton stalls above that, as when levels nearly coincide, a point
-    is accepted at a backward error below 1e-12: equation i holds exactly
-    at 2/g_i = 2/g + r_i/L_i, r_i its residual, and every |g_i - g| must be
-    below 1e-12 |g|.
+    A point is accepted when it passes the rule of :func:`_newton` in L and
+    has the pair count round(g sum_i L_i / 2) = M: summing the rapidity
+    equations gives sum_i L_i = 2M/g for every M-pair state, so a jump to
+    another branch changes the count by at least one.  With inv the inverse
+    level gaps, J_ii = 2L_i - 2/g - sum_j inv_ij and J_ij = inv_ij, the rule's
+    s_i + (|J||L|)_i is at most 3 L_i^2 + 2 |L_i| (2/|g| + sum_j |inv_ij|) +
+    2 (|inv| |L|)_i, as |L_i - L_j| <= |L_i| + |L_j|: one product with |inv|
+    per iterate and no Jacobian, the same in X = g L as |J_X||X| = |J||L|.
     """
     occupation = tuple(int(b) for b in occupation)
     if len(occupation) != model.n or any(b not in (0, 1) for b in occupation):
@@ -236,7 +248,7 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
         return LambdaVars(values=(0.0,) * model.n)
 
     inv = _inverse_gaps(model.eps)
-    inv_rows = inv.sum(axis=1)
+    inv_rows, abs2 = inv.sum(axis=1), 2 * np.abs(inv)
 
     def pair_flow(x):  # dF/dg = -sum_{j != i} (X_i - X_j)/(eps_i - eps_j)
         return inv @ x - inv_rows * x
@@ -260,15 +272,12 @@ def solve_quadratic_bethe(model: CouplingModel, occupation) -> LambdaVars:
                 slope = np.zeros_like(x)
         u_next = min(u + du, 1.0)
         g = model.g if u_next == 1.0 else model.g * u_next
-        xn, r = _newton(lambda y: _quad_residuals(y / g, g, inv),
-                        lambda y: _quad_jacobian(y / g, g, inv, inv_rows) / g,
-                        x + (g - g_x) * slope)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tol = RESIDUAL_TOL * (1.0 if g == model.g else max(1.0, g ** -2))
-            holds = (np.max(np.abs(r)) < tol  # else the backward error, with L = X / g
-                     or np.max(np.abs(2 / (2 / g + r * g / xn) - g)) < RESIDUAL_TOL * abs(g))
-            holds = holds and round(xn.sum() / 2) == model.m
-        if holds:
+        linear = (abs2 + np.diag(4 / abs(g) + abs2.sum(axis=1))) / abs(g)  # the bound in X
+        xn, r, holds = _newton(
+            lambda y: _quad_residuals(y / g, g, inv),
+            lambda y: _quad_jacobian(y / g, g, inv, inv_rows) / g, x + (g - g_x) * slope,
+            lambda y: linear @ np.abs(y) + 3 / g ** 2 * (y * y))
+        if holds and round(xn.sum() / 2) == model.m:
             u, x, g_x, slope = u_next, xn, g, None
             du = min(du * 2, 0.25)
         else:
@@ -308,13 +317,12 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     diag(eps_S) - r 1^T has characteristic polynomial Q, so its
     eigenvalues are the rapidities.
 
-    One Newton solve at g polishes them, sorted by real part.  It is
-    accepted at max |residual| below 1e-12 or at a backward error below
-    1e-12 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 1):
-    equation i holds exactly at g_i = 2 / (2/g - residual_i).  A backward
-    error in the levels or rapidities would also accept the singular points
-    lam = eps_k +- delta, whose O(1/delta) terms cancel.  A singular system
-    or a failed polish raises :class:`NoConvergence` at ``g_reached`` = g.
+    One Newton solve at g polishes them, sorted by real part; it must pass
+    the rule of :func:`_newton`, n = M, with s_i = 2/|g| + sum_j 2/|lam_i - lam_j|
+    + sum_k 1/|eps_k - lam_i|.  The count n + 2 covers the pair terms; a level
+    term, summed over N > M levels, can be rounded more often, so where M is
+    small the rule may refuse a point at the rounding floor.  A singular
+    system or a failed polish raises :class:`NoConvergence` at ``g_reached`` = g.
     """
     levels = tuple(initial_levels)
     if len(set(levels)) != len(levels) or len(levels) != model.m:
@@ -331,12 +339,14 @@ def solve_richardson(model: CouplingModel, initial_levels) -> RapidityState:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"no rapidities from L at g = {model.g:.6g}: {exc}",
                             g_reached=model.g) from exc
-    x, r = _newton(lambda lam: _richardson_residuals_arr(lam, model.g, eps),
-                   lambda lam: _richardson_jacobian(lam, model.g, eps), start.astype(complex))
-    res = float(np.max(np.abs(r)))
-    if not res < RESIDUAL_TOL * max(1.0, 2 / abs(model.g)):
+    x, r, holds = _newton(lambda y: _richardson_residuals_arr(y, model.g, eps),
+                          lambda y: _richardson_jacobian(y, model.g, eps), start.astype(complex),
+                          lambda y: 2 / abs(model.g) + 2 * np.abs(_inverse_gaps(y)).sum(axis=1)
+                          + np.abs(1 / (eps - y[:, None])).sum(axis=1)
+                          + np.abs(_richardson_jacobian(y, model.g, eps)) @ np.abs(y))
+    if not holds:
         raise NoConvergence(f"rapidity polish stalled at g = {model.g:.6g}",
-                            g_reached=model.g, residual=res)
+                            g_reached=model.g, residual=float(np.max(np.abs(r))))
     return RapidityState(lambdas=tuple(complex(v) for v in np.sort(x)))
 
 

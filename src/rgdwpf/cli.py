@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 check failure, 3 numerical failure.
 import argparse
 import cmath
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -325,10 +326,27 @@ _COMMANDS = {"pf": _cmd_pf, "verify": _cmd_verify, "gamma": _cmd_gamma,
              "coeffs": _cmd_coeffs, "bethe": _cmd_bethe}
 
 
+#: Flags whose value may be a number list such as -1/2, -1e6 or -1,2.
+_NUMBER_FLAGS = frozenset(("--g", "--eps", "--nu", "--z"))
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_numbers(argv) -> list:
+    """Write ``--g -1/2`` as ``--g=-1/2``: argparse (3.10, 3.11) reads a token that
+    starts with '-' as a value only if it looks like -12 or -1.5."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     """Parse and execute; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_numbers(argv))
         code, _ = _COMMANDS[args.command](args)
         return code
     except _UsageError as exc:

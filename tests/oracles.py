@@ -18,7 +18,9 @@ the package's common-denominator sums.  The structure coefficients are
 enumerated multiset by multiset, column by column, and the complete
 homogeneous polynomials come from products of truncated geometric series.
 The Bethe states are checked against exact diagonalization of the pairing
-Hamiltonian, followed in the coupling from its g = 0 product state.
+Hamiltonian, followed in the coupling from its g = 0 product state, and
+each Bethe answer against both sides of the solver's acceptance rule,
+summed term by term in explicit loops.
 """
 
 import random
@@ -517,3 +519,60 @@ def adiabatic_energy(g, eps, occupation, steps=2000):
         k = int(np.argmax(np.abs(vectors.T @ vector)))
         vector = vectors[:, k]
     return float(values[k])
+
+
+def _rule_sides(terms, jacobian, x):
+    """|r_i| and (n + 2) u (s_i + (|J||x|)_i), u = 2^-53, from the terms of each equation."""
+    n = len(x)
+    lhs = [abs(sum(row)) for row in terms]
+    rhs = [(n + 2) * 2.0 ** -53 * (sum(abs(t) for t in row)
+                                    + sum(abs(jacobian[i][j]) * abs(x[j]) for j in range(n)))
+           for i, row in enumerate(terms)]
+    return lhs, rhs
+
+
+def quad_rule_sides(g, eps, lambdas):
+    """Both sides of the acceptance rule for the quadratic equations, loop by loop.
+
+    Equation i has the terms L_i^2, -(L_i - L_j)/(eps_i - eps_j) for j != i
+    and -(2/g) L_i; its Jacobian row has 1/(eps_i - eps_j) off the diagonal
+    and 2 L_i - 2/g - sum_{j != i} 1/(eps_i - eps_j) on it.
+    """
+    n = len(eps)
+    terms, jacobian = [], []
+    for i in range(n):
+        row, jac = [lambdas[i] ** 2, -(2 / g) * lambdas[i]], [0.0] * n
+        jac[i] = 2 * lambdas[i] - 2 / g
+        for j in range(n):
+            if j != i:
+                row.append(-(lambdas[i] - lambdas[j]) / (eps[i] - eps[j]))
+                jac[j] = 1 / (eps[i] - eps[j])
+                jac[i] -= 1 / (eps[i] - eps[j])
+        terms.append(row)
+        jacobian.append(jac)
+    return _rule_sides(terms, jacobian, lambdas)
+
+
+def richardson_rule_sides(g, eps, rapidities):
+    """Both sides of the acceptance rule for the rapidity equations, loop by loop.
+
+    Equation i has the terms 2/g, -2/(lam_i - lam_j) for j != i and
+    -1/(eps_k - lam_i) for every level; its Jacobian row has
+    -2/(lam_i - lam_j)^2 off the diagonal and
+    sum_{j != i} 2/(lam_i - lam_j)^2 - sum_k 1/(eps_k - lam_i)^2 on it.
+    """
+    m = len(rapidities)
+    terms, jacobian = [], []
+    for i, lam in enumerate(rapidities):
+        row, jac = [2 / g], [0j] * m
+        for j, other in enumerate(rapidities):
+            if j != i:
+                row.append(-2 / (lam - other))
+                jac[j] = -2 / (lam - other) ** 2
+                jac[i] += 2 / (lam - other) ** 2
+        for e in eps:
+            row.append(-1 / (e - lam))
+            jac[i] -= 1 / (e - lam) ** 2
+        terms.append(row)
+        jacobian.append(jac)
+    return _rule_sides(terms, jacobian, rapidities)

@@ -28,7 +28,7 @@ from rgdwpf.errors import (
 )
 from rgdwpf.partition import SpinSystem, build_J_higher
 
-from oracles import adiabatic_energy
+from oracles import adiabatic_energy, quad_rule_sides, richardson_rule_sides
 
 
 def evenly_spaced(n):
@@ -270,7 +270,8 @@ class TestSolveQuadratic:
     def test_nearly_coincident_levels_converge_by_backward_error(self):
         # levels 0.011 apart put the absolute residual's rounding floor above
         # 1e-12: Newton stalls near 1.7e-12, and the continuation once raised
-        # NoConvergence there; every equation holds at a coupling within 1e-12 of g
+        # NoConvergence there; the componentwise rule accepts the point, and
+        # every equation holds at a coupling within 1e-12 of g
         model = CouplingModel(g=-0.5, eps=(1.8397, 2.7827, 3.6167, 2.7937), m=3)
         lv = solve_quadratic_bethe(model, (1, 1, 1, 0))
         assert round(model.g * sum(lv.values) / 2) == 3
@@ -329,7 +330,8 @@ class TestSolveRichardson:
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_half_filling_converges_by_backward_error(self, n):
         # no weak-coupling start, whose terms of size 2/g0 put the absolute
-        # residual's rounding floor near 1.4e-12 at N = 16: the polish runs at g
+        # residual's rounding floor near 1.4e-12 at N = 16: the polish runs at g,
+        # where the componentwise rule accepts it below 1e-12 absolute
         model = CouplingModel(g=0.5, eps=evenly_spaced(n), m=n // 2)
         state = solve_richardson(model, tuple(range(n // 2)))
         assert max(abs(r) for r in richardson_residuals(state, model)) < 1e-12
@@ -373,7 +375,7 @@ class TestSolveRichardson:
             solve_richardson(model, (0, 1))
         assert err.value.g_reached == 0.0
         assert err.value.halvings == 13
-        assert not err.value.residual < bethe.RESIDUAL_TOL
+        assert err.value.residual == 1.0
 
     def test_failed_polish_reports_the_coupling(self, monkeypatch):
         # no Newton step lowers a constant residual, so the polish fails at g itself
@@ -445,8 +447,8 @@ class TestAdiabaticState:
     """Both routes against exact diagonalization followed from the g = 0 product state."""
 
     @staticmethod
-    def assert_on_adiabatic_state(g, eps, occupation):
-        exact = adiabatic_energy(g, eps, occupation)
+    def assert_on_adiabatic_state(g, eps, occupation, steps=2000):
+        exact = adiabatic_energy(g, eps, occupation, steps)
         model = CouplingModel(g=g, eps=eps, m=sum(occupation))
         lv = solve_quadratic_bethe(model, occupation)
         assert abs(energy_from_lambdas(model, lv) - exact) < 1e-9 * max(1, abs(exact))
@@ -465,12 +467,60 @@ class TestAdiabaticState:
         # reached another eigenstate here: E = 5.493249, 2.070399, 2.725686, 1.759684
         assert abs(self.assert_on_adiabatic_state(g, eps, occupation) - energy) < 1e-6
 
+    @staticmethod
+    def refused_or_accepted(g, eps, occupation):
+        """The quadratic route's L, or None if it refuses; answers pass the rule's oracle."""
+        model = CouplingModel(g=g, eps=eps, m=sum(occupation))
+        try:
+            lv = solve_quadratic_bethe(model, occupation)
+        except NoConvergence:
+            return None
+        assert all(a <= b for a, b in zip(*quad_rule_sides(g, eps, lv.values)))
+        assert round(g * sum(lv.values) / 2) == model.m
+        try:
+            state = solve_richardson(model, [i for i, b in enumerate(occupation) if b])
+        except NoConvergence:
+            return lv
+        assert all(a <= b for a, b in zip(*richardson_rule_sides(g, eps, state.lambdas)))
+        return lv
+
     def test_seeded_models(self):
+        # at |g| of 1e4 and 1e6 ED with linear steps is no reliable oracle, and
+        # cond(J) can leave Newton's direction without meaning: refuse or pass
         rng = random.Random(8)
         for _ in range(6):
             n = rng.choice((5, 6, 8))
             g = rng.choice((0.5, 1.0, 1.7)) * rng.choice((1, -1))
             eps = tuple(rng.uniform(0, n) for _ in range(n))
             occupation = tuple(rng.randint(0, 1) for _ in range(n))
-            self.assert_on_adiabatic_state(g, eps, occupation if any(occupation)
-                                           else (1,) + occupation[1:])
+            occupation = occupation if any(occupation) else (1,) + occupation[1:]
+            self.assert_on_adiabatic_state(g, eps, occupation)
+            for strong in (1e4, 1e6):
+                self.refused_or_accepted(math.copysign(strong, g), eps, occupation)
+
+    @pytest.mark.parametrize("g, eps, occupation", [
+        # an occupied level 1e-4 from an empty one: the continuation stalled at
+        # g = -0.5126 with residual 5.5e-8, at its rounding floor
+        (-1.0, (4.9886, 10.178, 3.0833, 3.9049, 8.6153, 5.5282, 5.3985, 6.8335, 3.905,
+                10.8551, 3.0287, 8.1529), (0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0)),
+        # the rapidity polish stalled at residual 1.7e-11
+        (0.5, (3.381207824348562, 0.6439699677869855, 0.6412575842773198, 2.1688227730667),
+         (1, 1, 0, 1)),
+        # the polish's full step takes the rule's ratio from 16u to 0.4u but max |r|
+        # from 2.64e-14 to 2.80e-14: the line search must take a point that passes
+        (1.0, (1.4442724978030377, 1.7041420946633155, 3.486764894992371, 1.8533947457777895,
+               1.552534443005654, 4.728654282251994, 0.8369457805645402, 7.31082971552836),
+         (1, 0, 1, 1, 0, 0, 1, 0)),
+    ])
+    def test_rounding_floor_stalls_are_solved(self, g, eps, occupation):
+        # 200 steps give the energy of 2,000 to the last digit at an eighth of the cost
+        self.assert_on_adiabatic_state(g, eps, occupation, steps=200)
+        lv = solve_quadratic_bethe(CouplingModel(g=g, eps=eps, m=sum(occupation)), occupation)
+        assert abs(g * sum(lv.values) / 2 - sum(occupation)) < 1e-9
+
+    def test_strong_coupling_refuses_or_passes_the_rule(self):
+        # every term is small at g = -1e6: an absolute test once accepted
+        # L = -4.375e-7 (x3), a point with g sum(L) / 2 = 0.656 pairs
+        lv = self.refused_or_accepted(
+            -1e6, (1.4697495154574893, 0.6118490090690536, 2.5201740084535107), (0, 0, 1))
+        assert lv is None or abs(-1e6 * sum(lv.values) / 2 - 1) < 1e-9
