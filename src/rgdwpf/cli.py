@@ -314,6 +314,8 @@ def _richardson_entry(model, occupation, lv) -> dict:
         agreement = max(abs(a - b) for a, b in zip(induced.values, lv.values)) \
             if induced.values else 0.0
         entry["lambda_agreement"] = float(abs(agreement))
+        top = max(map(abs, lv.values), default=0.0)  # the absolute figure hides a small L
+        entry["lambda_agreement_relative"] = float(abs(agreement) / top) if top else 0.0
     return entry
 
 

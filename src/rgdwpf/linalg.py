@@ -14,34 +14,35 @@ classes of equal columns: flipping the sign of k of a class's m copies
 adds (m - 2k) times the column to the row sums in comb(m, k) ways (R. Kan,
 J. Multivariate Anal. 99 (2008) 542), and single columns are walked in
 Gray-code order, about prod(m + 1) / 2 products of n row sums in all:
-that work, not the dimension, is what :func:`permanent` guards.  In exact
-mode rows are rescaled to integers first so the inner loop runs on
-machine/big ints instead of Fractions.
+that work, not the dimension, is what :func:`permanent` guards.  Exact
+kernels read each row as ints over one denominator (:class:`SquareMatrix`).
 
 The exact determinant is multimodular (von zur Gathen and Gerhard, *Modern
 Computer Algebra*, ch. 5): numpy float64 elimination modulo enough primes
 below 2^26 for the Hadamard bound, small enough that every product of
 residues is an exact double (Dumas, Giorgi and Pernet, ACM TOMS 35 (2008)
 art. 19), then Chinese remaindering (see :func:`determinant`).  The
-entries reach those residues by the same argument: their 16-bit limbs
+integer rows reach those residues by the same argument: their 16-bit limbs
 times a table of 2^(16 l) mod p in [0, p) are integers below 2^42, and
 2^10 of them sum below 2^52, so one float64 BLAS product per 2^10 limbs
-is exact in any summation order, fused multiply-adds included.  Importing
-the module sieves the 7,294 primes just below 2^26 (a few milliseconds).
+is exact in any summation order, fused multiply-adds included; the
+elimination's outer products are one sum-free ``np.einsum`` per step.
+Importing the module sieves the 7,294 primes just below 2^26 (a few ms).
 
 The hierarchy and matrix builders take exact inverse gaps 1/(x - z) and
 their sums L(z) = sum_x 1/(z - x) = -G_1(z) from the numerators and
 denominators of their exact inputs (:func:`_inverse_gaps`,
 :func:`_inverse_gap_sum`): one normalisation per result instead of one
-per ``Fraction`` operation.
+per ``Fraction`` operation, or none, over one denominator (:func:`_inverse_gap_row`).
 """
 
 import sys
 from cmath import isfinite
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import comb, isqrt, lcm, prod
+from functools import cached_property
+from itertools import product, starmap
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -58,8 +59,8 @@ PERMANENT_MAX_TERMS = 20 << 19
 _PRIME_TOP = 1 << 26
 #: Primes sieved per window; the first window below 2^26 holds 7,294 primes.
 _WINDOW = 1 << 17
-#: Primes eliminated together: (n, n, block) float64 residues and a spare, 2 x 0.5 MB at n = 36.
-_BLOCK = 48
+#: Primes eliminated together: (n, n, block) float64 residues and a spare, 2 x 0.66 MB at n = 36.
+_BLOCK = 64
 #: Residues joined per group, then the groups' results: at 277 primes 16 beats 48 or 64.
 _CRT_GROUP = 16
 #: Limbs per float64 BLAS product: 2^10 products below 2^42, plus a residue, stay below 2^53.
@@ -104,18 +105,19 @@ def _inverse_gaps(xs, z) -> list:
     return [Fraction(b * d, c * b - a * d) for c, d in map(Fraction.as_integer_ratio, xs)]
 
 
-def _inverse_gap_sum(z: Fraction, xs) -> Fraction:
-    """sum_x 1/(z - x) for a Fraction z and Fractions xs.
-
-    1/(z - x_i) = w_i / D, with D the lcm of the unreduced gap numerators
-    a d_i - c_i b, so the sum is sum_i w_i over D: one ``math.lcm`` and one
-    normalisation, where a ``Fraction`` sum normalises once per term.
-    """
+def _inverse_gap_row(xs, z) -> tuple:
+    """(w, D) with 1/(x_i - z) = w_i / D for Fractions, D the lcm of the gap numerators."""
     a, b = z.as_integer_ratio()
     cds = [x.as_integer_ratio() for x in xs]
-    gaps = [a * d - c * b for c, d in cds]  # z - x = (a d - c b) / (b d)
+    gaps = [c * b - a * d for c, d in cds]  # x - z = (c b - a d) / (b d)
     common = lcm(*gaps)
-    return Fraction(sum(b * d * (common // g) for (_, d), g in zip(cds, gaps)), common)
+    return [b * d * (common // g) for (_, d), g in zip(cds, gaps)], common
+
+
+def _inverse_gap_sum(z: Fraction, xs) -> Fraction:
+    """sum_x 1/(z - x) = -sum(w) / D: one normalisation, not one per term of a Fraction sum."""
+    w, common = _inverse_gap_row(xs, z)
+    return Fraction(-sum(w), common)
 
 
 def values_agree(left, right, exact: bool) -> bool:
@@ -138,9 +140,10 @@ class SquareMatrix:
     Plain ints are accepted in either mode and coerced; mixing Fractions
     with floats/complex raises ``TypeError``, and a non-finite float entry
     or an int too large for a float raises :class:`NonFiniteEntry`.
-    """
 
-    __slots__ = ("entries", "dim", "exact")
+    An exact matrix holds row i as the ints ``rows[i]`` over ``denominators[i]``,
+    its entries' least common denominator; :meth:`from_rows` makes ``entries`` on first read.
+    """
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -161,11 +164,24 @@ class SquareMatrix:
         if not (self.exact or np.isfinite(np.array(rows)).all()):
             raise NonFiniteEntry("non-finite entry in float-mode matrix")
         self.entries, self.dim = rows, n
+        self.rows, self.denominators = zip(*map(_cleared, rows)) if self.exact else (None, None)
+
+    @classmethod
+    def from_rows(cls, pairs) -> "SquareMatrix":
+        """Exact n x n matrix whose row i is the n ints pairs[i][0] over pairs[i][1] > 0."""
+        m = object.__new__(cls)
+        m.exact, m.dim = True, len(pairs)
+        m.rows, m.denominators = zip(*starmap(_lowest_terms, pairs))
+        return m
+
+    @cached_property
+    def entries(self) -> tuple:
+        return tuple(tuple(Fraction(x, d) for x in r) for r, d in zip(self.rows, self.denominators))
 
     def __eq__(self, other):
-        return (isinstance(other, SquareMatrix)
-                and self.exact == other.exact
-                and self.entries == other.entries)
+        return (isinstance(other, SquareMatrix) and self.exact == other.exact
+                and (self.rows, self.denominators) == (other.rows, other.denominators)
+                and (self.exact or self.entries == other.entries))
 
     def __repr__(self):
         kind = "exact" if self.exact else "float"
@@ -176,16 +192,17 @@ def _coerce(x, exact):
     return Fraction(x) if exact else complex(x) if isinstance(x, complex) else float(x)
 
 
-def _int_rows_and_scale(entries):
-    """Rescale each row of Fractions to integers; returns (int rows, product of scales)."""
-    int_rows = []
-    scale = 1
-    for r in entries:
-        pairs = [x.as_integer_ratio() for x in r]
-        mult = lcm(*(d for _, d in pairs))
-        int_rows.append([a * (mult // d) for a, d in pairs])
-        scale *= mult
-    return int_rows, scale
+def _lowest_terms(row, d) -> tuple:
+    """(ints, d) for the rationals row[j] / d, both divided by their gcd."""
+    g = gcd(d, *row)
+    return (tuple(row), d) if g == 1 else (tuple(x // g for x in row), d // g)
+
+
+def _cleared(row) -> tuple:
+    """(ints, d): a row of Fractions as integers over d, the lcm of its denominators."""
+    pairs = [x.as_integer_ratio() for x in row]
+    d = lcm(*(q for _, q in pairs))
+    return tuple(a * (d // q) for a, q in pairs), d
 
 
 def permanent(m: SquareMatrix) -> Scalar:
@@ -197,8 +214,7 @@ def permanent(m: SquareMatrix) -> Scalar:
     """
     n = m.dim
     if m.exact:
-        rows, scale = _int_rows_and_scale(m.entries)
-        return Fraction(_glynn(rows, exact=True), scale << (n - 1))
+        return Fraction(_glynn(m.rows, exact=True), prod(m.denominators) << (n - 1))
     try:
         result = _glynn(m.entries, exact=False) / (1 << (n - 1))
     except OverflowError:  # a binomial weight too large for a float
@@ -268,28 +284,27 @@ def determinant(m: SquareMatrix) -> Fraction | float:
 
     Exact mode returns the exact rational; a float matrix, its entries'
     exact determinant correctly rounded (:func:`dyadic`, :func:`rounded`).
-    Rows are cleared to integers; the Hadamard bound |det| <= prod_i |row_i|
-    fixes how many primes below 2^26 are needed, one per 26 bits of twice the
-    bound; blocks of 48 primes are eliminated together in float64, on two
-    arrays that swap every step, and Chinese remaindering gives the integer
+    It is det(rows) / prod(denominators); the Hadamard bound |det(rows)| <=
+    prod_i |row_i| fixes how many primes below 2^26 are needed, one per 26 bits
+    of twice the bound; blocks of 64 primes are eliminated together in float64,
+    on two arrays that swap every step, and Chinese remaindering gives the integer
     determinant.  After every step residues are brought
     back into |r| <= p/2 + 1 by r = x - p * rint(x * (1/p)), and every step
     is exact: each factor of the division-free update piv * a - c * d is at
     most p/2 + 1, so |update| <= 2 (p/2 + 1)^2 < 2^51; the computed
     quotient is within 2^-27 of x/p, so |r| <= p/2 + 1 again; q * p and the
     difference are exact integers in a double; and since |r| < p, a pivot
-    that vanishes modulo p is an exact ``== 0``.  The cost is about n^3 / 3
-    float64 updates per prime: the J matrix of (2S, N) = (1, 36) needs
-    240-300 primes; generic 53-bit float entries need about ten times as many.
+    that vanishes modulo p is an exact ``== 0``.  The cost is about n^3 / 3 updates
+    of seven float64 passes per prime and 9 numpy calls per step and block: J at (1, 36)
+    needs 240-300 primes, 100 us each (2-core Xeon); 53-bit floats, ten times as many.
     """
     if m.exact:
-        return _det_multimodular(m.entries)
-    return rounded(_det_multimodular([[dyadic(x) for x in row] for row in m.entries]))
+        return _det_multimodular(m)
+    return rounded(_det_multimodular(SquareMatrix([[dyadic(x) for x in r] for r in m.entries])))
 
 
-def _det_multimodular(entries) -> Fraction:
-    n = len(entries)
-    rows, scale = _int_rows_and_scale(entries)
+def _det_multimodular(m: SquareMatrix) -> Fraction:
+    n, rows = m.dim, m.rows
     limit = isqrt(4 * prod(sum(x * x for x in row) for row in rows))
     primes, modulus = [], 1
     for q in _primes():
@@ -300,7 +315,6 @@ def _det_multimodular(entries) -> Fraction:
     else:
         raise CostGuard("Hadamard bound exceeds the primes below 2^26")
     limbs, signs = _limbs([x for row in rows for x in row])
-    del rows  # the limbs hold the entries from here on; free the big ints
     p = np.array(primes, dtype=np.float64)
     pinv = 1 / p
     # limb powers are tabled for as many blocks of primes at once as keep the table no
@@ -329,7 +343,7 @@ def _det_multimodular(entries) -> Fraction:
     det, modulus = _crt([r for r, _ in blocks], [q for _, q in blocks])
     if 2 * det > modulus:
         det -= modulus
-    return Fraction(det, scale)
+    return Fraction(det, prod(m.denominators))
 
 
 def _crt(residues, moduli):
@@ -376,11 +390,12 @@ def _reduce(limbs, signs, powers, p, pinv, res, tmp):
     ``limbs``, ``signs`` from :func:`_limbs`, ``powers`` from :func:`_limb_powers`; ``res``
     and the scratch ``tmp`` contiguous float64 (values, len(p)).
     """
-    res[:] = 0
-    for c in range(0, limbs.shape[1], _LIMB_CHUNK):
-        # float64 BLAS product, exact in any summation order, FMA included: every
-        # limb * power is an integer below 2^16 * 2^26 = 2^42, so a chunk's sum stays
-        # below 2^52 and, with the residue carried in res, below 2^53
+    # float64 BLAS products, exact in any summation order, FMA included: every
+    # limb * power is an integer below 2^16 * 2^26 = 2^42, so a chunk's sum stays
+    # below 2^52 and, with the residue carried in res, below 2^53
+    np.matmul(limbs[:, :_LIMB_CHUNK], powers[:_LIMB_CHUNK], out=res)
+    _mod(res, p, pinv, tmp)
+    for c in range(_LIMB_CHUNK, limbs.shape[1], _LIMB_CHUNK):
         res += np.matmul(limbs[:, c:c + _LIMB_CHUNK], powers[c:c + _LIMB_CHUNK], out=tmp)
         _mod(res, p, pinv, tmp)
     res *= signs
@@ -391,7 +406,7 @@ def _eliminate(a, spare, p, pinv, pivots, sign):
 
     ``a`` and ``spare`` are flat float64 arrays that swap every step, the one not written
     to serving as scratch.  Writes the pivots to pivots[:, b], flips sign[b] per row swap.
-    Passes run along whole rows, (m, m B): only c_i * r_j has B-long inner loops.
+    Passes run along whole rows, (m, m B); one einsum writes the outer product c_i * r_j.
     """
     n, width = pivots.shape
     tiled = np.array([p, pinv, p])[:, None].repeat(n - 1, axis=1).reshape(3, -1)  # p, 1/p, piv
@@ -404,7 +419,7 @@ def _eliminate(a, spare, p, pinv, pivots, sign):
             sign[b] = -sign[b]
         pivots[n - m] = tiled[2, :row].reshape(m - 1, width)[:] = lanes[0, 0]  # two copies
         out, rest = spare[:(m - 1) * row].reshape(m - 1, row), lanes.reshape(m, -1)[1:, width:]
-        np.multiply(lanes[1:, :1], lanes[0, 1:], out=out.reshape(m - 1, m - 1, width))
+        np.einsum("ib,jb->ijb", lanes[1:, 0], lanes[0, 1:], out=out.reshape(m - 1, m - 1, width))
         np.subtract(np.multiply(rest, tiled[2, :row], out=rest), out, out=out)  # piv a - c d
         _mod(out, tiled[0, :row], tiled[1, :row], a[:(m - 1) * row].reshape(m - 1, row))
         a, spare = spare, a

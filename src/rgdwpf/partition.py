@@ -15,9 +15,9 @@ routes:
   eigenvalue-based variables L(eps_j) = sum_i 1/(eps_j - nu_i), j >= 2,
   with, at the large spin, e_0..e_two_s of y_i = 1/(eps_1 - nu_i)
   (e_1 = L(eps_1); ``gamma``: one product truncated at t^two_s).
-  ``build_J_higher`` takes these values from any source; polynomial in N
-  (c11 still enumerates multisets, so the cost grows exponentially in
-  two_s; each other row-1 coefficient column costs O(two_s) from it).
+  ``build_J_higher`` takes these values from any source and builds J's rows
+  as ints over one denominator each, rows 2..N from the constant rows c0;
+  polynomial in N (c11 still enumerates multisets, exponential in two_s).
 
 Exact mode makes "the two routes agree" a plain ``==`` on canonical
 rationals.  Every builder reads a float as its exact dyadic value, so a
@@ -30,15 +30,18 @@ identity and the sum-of-permanents determinant of bosonic realizations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
 from .errors import CardinalityMismatch, DegenerateEpsilons
 from .gamma import _check_no_poles, build_gamma_table
 from .linalg import (
     Scalar,
     SquareMatrix,
+    _cleared,
+    _inverse_gap_row,
     _inverse_gap_sum,
     _inverse_gaps,
+    _lowest_terms,
     canonical,
     determinant,
     dyadic,
@@ -103,16 +106,24 @@ class StructureCoefficients:
     out (Macdonald, Symmetric Functions and Hall Polynomials, I.2), so
     ``c1j[j][n]`` = b_{two_s-n} with b_0 = 0 and
     b_r = (h_{r-1}(x) - b_{r-1})/(eps_j - eps_1): O(two_s) per column.
-    ``c0_diag[i]`` is the constant part of row i's diagonal and ``c1_diag``
-    (always 1) multiplies its -L(eps_i); ``c0_off[(i, j)]`` =
-    1/(eps_j - eps_i).
+    ``c0_rows[i - 2]`` = (w, d), row i's constant part over one denominator, is w_j / d =
+    1/(eps_j - eps_i) off the diagonal and -(two_s w_1 + sum_{k != 1, i} w_k) / d on it, next
+    to ``c1_diag`` (always 1) times -L(eps_i); ``c0_diag``/``c0_off`` read it as Fractions.
     """
 
     c11: tuple
     c1j: dict
-    c0_diag: dict
-    c0_off: dict
+    c0_rows: tuple
     c1_diag: int = 1
+
+    @property
+    def c0_diag(self) -> dict:
+        return {i: Fraction(r[i - 1], d) for i, (r, d) in enumerate(self.c0_rows, start=2)}
+
+    @property
+    def c0_off(self) -> dict:
+        return {(i, j): Fraction(x, d) for i, (r, d) in enumerate(self.c0_rows, start=2)
+                for j, x in enumerate(r, start=1) if j != i}
 
 
 def multisets_with_repetition(items, m: int):
@@ -175,16 +186,12 @@ def structure_coefficients(system: SpinSystem) -> StructureCoefficients:
             b.append(y * (h - b[-1]))
         c1j[j] = tuple(b[:0:-1])
 
-    c0_diag = {}
-    c0_off = {}
+    c0_rows = []
     for i in range(2, n + 1):
-        ei = eps[i - 1]
-        others = ground[:i - 2] + ground[i - 1:]
-        c0_diag[i] = two_s / (ei - e1) + _inverse_gap_sum(ei, others)
-        c0_off.update(zip([(i, j) for j in range(1, n + 1) if j != i],
-                          _inverse_gaps(eps[:i - 1] + eps[i:], ei)))
+        w, d = _inverse_gap_row(eps[:i - 1] + eps[i:], eps[i - 1])  # 1/(eps_j - eps_i) = w_j / d
+        c0_rows.append(_lowest_terms(w[:i - 1] + [-sum(w) - (two_s - 1) * w[0]] + w[i - 1:], d))
 
-    return StructureCoefficients(c11=c11, c1j=c1j, c0_diag=c0_diag, c0_off=c0_off)
+    return StructureCoefficients(c11=c11, c1j=c1j, c0_rows=tuple(c0_rows))
 
 
 def build_J_spin_half(eps, nu) -> SquareMatrix:
@@ -211,8 +218,9 @@ def build_J_higher(system: SpinSystem, tower, lambdas) -> SquareMatrix:
     ``tower`` = (e_0, ..., e_2S), the elementary symmetric polynomials of
     y_i = 1/(eps_1 - nu_i) (e_0 = 1, e_1 = L(eps_1)), and ``lambdas`` =
     (L(eps_2), ..., L(eps_N)), L(z) = sum_i 1/(z - nu_i).  Row 1 contracts
-    the structure coefficients against (-1)^k e_k; row i's diagonal is
-    c0_diag[i] - c1_diag L(eps_i).  Exact: floats are read as their dyadic
+    the structure coefficients against (-1)^k e_k; row i is ``c0_rows[i - 2]``
+    less c1_diag L(eps_i) on the diagonal, as ints over one denominator
+    (:meth:`SquareMatrix.from_rows`).  Exact: floats are read as their dyadic
     values.  Wrong lengths raise :class:`CardinalityMismatch`.
     """
     tower, lambdas = tuple(map(dyadic, tower)), tuple(map(dyadic, lambdas))
@@ -226,16 +234,16 @@ def build_J_higher(system: SpinSystem, tower, lambdas) -> SquareMatrix:
     coeffs = structure_coefficients(system)
     signed = tuple(-e if k % 2 else e for k, e in enumerate(tower))
 
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = fact * sum(coeffs.c11[k] * signed[k] for k in range(two_s + 1))
-    for j in range(2, n + 1):
-        rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * signed[k] for k in range(two_s))
-    for i in range(2, n + 1):
-        rows[i - 1][i - 1] = coeffs.c0_diag[i] - coeffs.c1_diag * lambdas[i - 2]
-        for j in range(1, n + 1):
-            if j != i:
-                rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]
-    return SquareMatrix(rows)
+    rows = [_cleared([fact * sum(coeffs.c11[k] * signed[k] for k in range(two_s + 1))]
+                     + [fact * sum(coeffs.c1j[j][k] * signed[k] for k in range(two_s))
+                        for j in range(2, n + 1)])]
+    for i, ((c0, d), lam) in enumerate(zip(coeffs.c0_rows, lambdas), start=1):
+        p, q = lam.as_integer_ratio()
+        e = lcm(d, q)  # row i + 1 over e: its constant row, then -c1_diag L on the diagonal
+        row = [x * (e // d) for x in c0]
+        row[i] -= coeffs.c1_diag * p * (e // q)
+        rows.append((row, e))
+    return SquareMatrix.from_rows(rows)
 
 
 def build_J_limit(system: SpinSystem) -> SquareMatrix:

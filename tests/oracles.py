@@ -14,7 +14,8 @@ The residue probe samples
 the determinant.
 The assembly of the determinant matrix is summed term by term, one
 ``Fraction`` operation per inverse gap and per term, as the reference for
-the package's common-denominator sums.  The structure coefficients are
+the package's common-denominator sums, and its rows over one denominator are
+cleared entry by entry with ``Fraction`` products.  The structure coefficients are
 enumerated multiset by multiset, column by column, and the complete
 homogeneous polynomials come from products of truncated geometric series.
 The Bethe states are checked against exact diagonalization of the pairing
@@ -386,17 +387,40 @@ def structure_coefficients_by_fraction_sums(system):
             col.append(-acc)
         c1j[j] = tuple(col)
 
+    c0_diag, c0_off = c0_by_fraction_sums(system)
+    c0_rows = tuple(row_over_lcm([c0_diag[i] if j == i else c0_off[(i, j)]
+                                  for j in range(1, n + 1)])
+                    for i in range(2, n + 1))
+    return StructureCoefficients(c11=c11, c1j=c1j, c0_rows=c0_rows)
+
+
+def c0_by_fraction_sums(system):
+    """(c0_diag, c0_off): the constant parts of rows 2..N, one ``Fraction`` per inverse gap."""
+    eps, n = system.epsilons, system.n
     c0_diag = {}
     c0_off = {}
     for i in range(2, n + 1):
         ei = eps[i - 1]
-        c0_diag[i] = two_s / (ei - e1) + sum(
+        c0_diag[i] = system.two_s / (ei - eps[0]) + sum(
             1 / (ei - eps[k - 1]) for k in range(2, n + 1) if k != i)
         for j in range(1, n + 1):
             if j != i:
                 c0_off[(i, j)] = 1 / (eps[j - 1] - ei)
+    return c0_diag, c0_off
 
-    return StructureCoefficients(c11=c11, c1j=c1j, c0_diag=c0_diag, c0_off=c0_off)
+
+def row_over_lcm(row):
+    """(numerators, d): the rationals of ``row`` as integers over d, the lcm of their denominators.
+
+    Cleared one entry at a time by ``Fraction`` products, for the package's
+    rows over one denominator.
+    """
+    d = 1
+    for x in row:
+        d = lcm(d, Fraction(x).denominator)
+    numerators = tuple(Fraction(x) * d for x in row)
+    assert all(x.denominator == 1 for x in numerators)
+    return tuple(x.numerator for x in numerators), d
 
 
 def j_spin_half_by_fraction_sums(eps, nu):
@@ -419,6 +443,7 @@ def j_higher_by_fraction_sums(system, nu):
     """The (2S, N) determinant matrix from the term-by-term sums above."""
     tower, lambdas = gamma_table_by_fraction_sums(system, nu)
     coeffs = structure_coefficients_by_fraction_sums(system)
+    c0_diag, c0_off = c0_by_fraction_sums(system)
     n = system.n
     two_s = system.two_s
     fact = factorial(two_s)
@@ -428,10 +453,10 @@ def j_higher_by_fraction_sums(system, nu):
     for j in range(2, n + 1):
         rows[0][j - 1] = fact * sum(coeffs.c1j[j][k] * signed[k] for k in range(two_s))
     for i in range(2, n + 1):
-        rows[i - 1][i - 1] = coeffs.c0_diag[i] - coeffs.c1_diag * lambdas[i - 2]
+        rows[i - 1][i - 1] = c0_diag[i] - lambdas[i - 2]
         for j in range(1, n + 1):
             if j != i:
-                rows[i - 1][j - 1] = coeffs.c0_off[(i, j)]
+                rows[i - 1][j - 1] = c0_off[(i, j)]
     return SquareMatrix(rows)
 
 

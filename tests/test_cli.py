@@ -451,6 +451,30 @@ class TestBethe:
         assert abs(doc["quad"]["pairs"] - 8) < 1e-9
         assert doc["richardson"]["lambda_agreement"] < 1e-8
 
+    def test_lambda_agreement_relative_to_the_quadratic_route(self):
+        # the quadratic route's L scaled by 1.5 disagrees by 1/3 of its largest
+        # value, whatever that value's size; the absolute figure is 0.5 max |L|
+        from rgdwpf import bethe
+        from rgdwpf.cli import _richardson_entry
+
+        for g in (0.5, -1e6):
+            model = bethe.CouplingModel(g=g, eps=(0.0, 1.0, 2.5, 4.0), m=2)
+            occupation = (1, 0, 1, 0)
+            lv = bethe.solve_quadratic_bethe(model, occupation)
+            scaled = replace(lv, values=tuple(1.5 * v for v in lv.values))
+            entry = _richardson_entry(model, occupation, scaled)
+            top = max(map(abs, lv.values))
+            assert entry["lambda_agreement_relative"] == pytest.approx(1 / 3, rel=1e-6)
+            assert entry["lambda_agreement"] == pytest.approx(0.5 * top, rel=1e-6)
+            assert entry["lambda_agreement"] != pytest.approx(1 / 3, rel=1e-2)
+            assert _richardson_entry(model, occupation, lv)["lambda_agreement_relative"] < 1e-8
+
+    def test_lambda_agreement_relative_without_pairs(self, capsys):
+        code, doc = run_json(capsys, ["bethe", "--g", "0.5", "--eps", "0,1,2",
+                                      "--occupation", "000", "--route", "both"])
+        assert code == 0
+        assert doc["richardson"]["lambda_agreement_relative"] == 0.0
+
     def test_stalled_route_reports_in_its_own_entry(self, capsys, monkeypatch):
         import rgdwpf.bethe as bethe
 

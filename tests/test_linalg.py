@@ -59,6 +59,16 @@ class TestSquareMatrix:
         assert f.entries[0][0] is x and f.entries[0][1] is z and f.entries[1][1] is x
         assert type(f.entries[1][0]) is float
 
+    def test_rows_over_one_denominator(self):
+        # from_rows divides each row by its gcd with its denominator and makes
+        # the entries when they are first read
+        m = SquareMatrix.from_rows([((2, -4), 6), ((0, 3), 1)])
+        assert m.rows == ((1, -2), (0, 3)) and m.denominators == (3, 1)
+        assert "entries" not in vars(m)
+        assert m == SquareMatrix([[Fraction(1, 3), Fraction(-2, 3)], [0, 3]])
+        assert m.entries == ((Fraction(1, 3), Fraction(-2, 3)), (0, 3))
+        assert determinant(m) == 1 == permanent(m)
+
     def test_int_too_large_for_a_float_is_typed(self):
         with pytest.raises(NonFiniteEntry):
             SquareMatrix([[10 ** 400, 1.0], [0.0, 1.0]])
@@ -410,8 +420,9 @@ class TestExactKernel:
         assert drawn == [x for x in reversed(span) if x % 2 and all(x % d for d in range(3, 46341, 2))]
 
     def test_power_tables_of_several_groups_of_primes(self, monkeypatch):
-        # a 10 x 10 matrix tables its limb powers for as many whole blocks as its
-        # 100 entries outnumber; 600-bit entries need several such tables
+        # an n x n matrix with n^2 >= 2 blocks of primes tables its limb powers for as
+        # many whole blocks as its entries outnumber; 600-bit entries need several such tables
+        n = math.isqrt(2 * linalg._BLOCK) + 1
         rng = random.Random(118)
         tables = []
         limb_powers = linalg._limb_powers
@@ -423,7 +434,7 @@ class TestExactKernel:
         monkeypatch.setattr(linalg, "_limb_powers", spy)
         for _ in range(3):
             tables.clear()
-            self.check([[rng.getrandbits(600) - (1 << 599) for _ in range(10)] for _ in range(10)])
+            self.check([[rng.getrandbits(600) - (1 << 599) for _ in range(n)] for _ in range(n)])
             assert len(tables) >= 3 and tables[0] >= 2 * linalg._BLOCK
 
     def test_reduction_of_values_longer_than_one_limb_chunk(self):

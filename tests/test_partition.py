@@ -17,7 +17,7 @@ from rgdwpf.errors import (
     PoleAtEvaluationPoint,
 )
 from rgdwpf.gamma import build_gamma_table
-from rgdwpf.linalg import determinant, permanent
+from rgdwpf.linalg import SquareMatrix, determinant, permanent
 from rgdwpf.partition import (
     SpinSystem,
     borchardt_check,
@@ -45,6 +45,7 @@ from oracles import (
     j_spin_half_by_fraction_sums,
     perm_by_permutation_sum,
     rand_distinct_fractions,
+    row_over_lcm,
     rand_fraction,
     spin_three_half_worked_coefficients,
     structure_coefficients_by_fraction_sums,
@@ -474,6 +475,22 @@ class TestZDeterminant:
         assert z_determinant(system, nu).value == float(exact) != 0.0
 
 
+    def test_wide_determinant_builds_order_n_fractions(self, monkeypatch):
+        # J's rows reach the kernel as integers: no Fraction per entry of J or
+        # of the constant rows 2..N, which alone were 1,296 + 1,225 at N = 36
+        system, nu = random_instance(1, 36, random.Random("fractions:36"))
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        z_determinant(system, nu)
+        assert 0 < len(made) <= 12 * system.n
+
+
 class TestBorchardt:
     def test_single_pair(self):
         res = borchardt_check((Fraction(3),), (Fraction(1),))
@@ -589,6 +606,29 @@ class TestAssemblyAgainstTermByTermSums:
         instances = assembly_instances(two_s, n, "higher")
         assert identical(package(*instances["exact"]), oracle(*instances["exact"]))
         assert_reads_floats_exactly(instances, package, oracle)
+
+    @pytest.mark.parametrize("two_s, n", HIGH_SPIN_GRID + ((1, 14), (2, 12), (1, 36)))
+    def test_higher_spin_matrix_rows_are_the_cleared_oracle_rows(self, two_s, n):
+        # J's rows as built, integers over one denominator each, against the
+        # term-by-term entries cleared row by row; float inputs at their Fractions
+        eps, nu = assembly_instances(two_s, n, "rows")["exact"]
+        for eps, nu in ((eps, nu), (tuple(map(float, eps)), tuple(map(float, nu)))):
+            system = SpinSystem(two_s, eps)
+            j = build_J_higher(system, *build_gamma_table(system, nu))
+            dyadic = SpinSystem(two_s, tuple(map(Fraction, eps))), tuple(map(Fraction, nu))
+            want = [row_over_lcm(row) for row in j_higher_by_fraction_sums(*dyadic).entries]
+            assert list(zip(j.rows, j.denominators)) == want
+
+    @pytest.mark.parametrize("two_s, n", ((0, 2), (3, 5), (1, 36)))
+    def test_matrix_built_from_rows_reads_as_its_entries(self, two_s, n):
+        eps, nu = assembly_instances(two_s, n, "rows")["exact"]
+        system = SpinSystem(two_s, eps)
+        j = build_J_higher(system, *build_gamma_table(system, nu))
+        want = j_higher_by_fraction_sums(system, nu).entries
+        assert j == SquareMatrix(j.entries)
+        assert identical(j.entries, want)
+        assert all(type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1
+                   for row in j.entries for x in row)
 
     @pytest.mark.parametrize("two_s, n", GRID)
     def test_c11_is_complete_homogeneous(self, two_s, n):
